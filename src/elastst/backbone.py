@@ -1,12 +1,17 @@
 """Masked multi-head self-attention encoder blocks.
 
 Two departures from a stock pre-norm encoder: query/key vectors are
-position-rotated with the tunable periods before scoring, and keys whose
-patch consists solely of placeholders are excluded from the softmax via
-an additive -inf bias. Placeholder *queries* still attend to context
-keys; only their key side is blocked. Exclusion (rather than multiplying
-raw scores by zero) is what keeps every pre-existing row's output
-bit-identical when more placeholder patches are appended.
+position-rotated with the tunable periods before scoring, and only the
+patches the key mask allows (those carrying context) are keys. Keys and
+values are projected and rotated for those rows alone, at their own
+positions, and each query's softmax runs over those n_keys scores, so a
+patch consisting solely of placeholders has no key or value at all.
+Placeholder *queries* still attend to context keys. With the model's
+mask the keys are the context patches, whose count is fixed by the
+lookback: scores, softmax and the value mix never reduce over an axis
+that grows with the horizon, and every product runs on the fixed-block
+GEMM of :mod:`numerics`, so appending placeholder patches leaves every
+pre-existing row's output bit-identical.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ def _attention(
     periods: trope.TunablePeriods,
     weights: LayerWeights,
 ) -> tuple[Tensor, Tensor]:
-    """Returns (output (B, N, D), attention probabilities (B, heads, N, N))."""
+    """Returns (output (B, N, D), attention probabilities (B, heads, N, n_keys))."""
     key_mask = np.asarray(key_mask, dtype=bool)
     if not key_mask.any():
         raise ContractError("key mask blocks every patch; nothing to attend to")
@@ -104,20 +109,21 @@ def _attention(
     if key_mask.shape != (n,):
         raise ContractError(f"key mask must have shape ({n},), got {key_mask.shape}")
     hd, heads = cfg.head_dim, cfg.n_heads
+    keys = np.flatnonzero(key_mask)
+    h_keys = nm.take(h, 1, keys)
 
-    def project(mats):
-        stacked = nm.matmul(h, nm.concat(mats, axis=1))  # (B, N, heads*hd)
-        split = nm.reshape(stacked, (b, n, heads, hd))
-        return nm.transpose(split, (0, 2, 1, 3))  # (B, heads, N, hd)
+    def project(x, mats):
+        rows = x.data.shape[1]
+        stacked = nm.matmul(x, nm.concat(mats, axis=1))  # (B, rows, heads*hd)
+        split = nm.reshape(stacked, (b, rows, heads, hd))
+        return nm.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, hd)
 
-    positions = np.arange(n)
-    q = trope.rotate(project(weights.wq), positions, periods)
-    k = trope.rotate(project(weights.wk), positions, periods)
-    v = project(weights.wv)
+    q = trope.rotate(project(h, weights.wq), np.arange(n), periods)
+    k = trope.rotate(project(h_keys, weights.wk), keys, periods)
+    v = project(h_keys, weights.wv)
 
     scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    key_bias = Tensor(np.where(key_mask, 0.0, -np.inf))
-    probs = nm.softmax_lastdim(nm.bias_add(scores, key_bias))
+    probs = nm.softmax_lastdim(scores)  # (B, heads, N, n_keys)
     mixed = nm.matmul(probs, v)  # (B, heads, N, hd)
     merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (b, n, heads * hd))
     return nm.matmul(merged, weights.wo), probs
@@ -146,7 +152,9 @@ def attention_probabilities(
     """Attention weights (B, heads, N, N); rows sum to 1 over unmasked keys."""
     batched, _ = _with_batch(h)
     _, probs = _attention(batched, key_mask, periods, weights)
-    return probs.data
+    full = np.zeros(probs.data.shape[:-1] + (batched.data.shape[1],))
+    full[..., np.flatnonzero(key_mask)] = probs.data
+    return full
 
 
 def transformer_block(

@@ -361,7 +361,3 @@ def main(argv=None) -> int:
     except (MetricUndefinedError, DimensionError, ContractError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-
-
-def entrypoint() -> int:
-    return main(sys.argv[1:])

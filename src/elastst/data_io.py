@@ -158,10 +158,17 @@ def split_and_scale(
     spec: SplitSpec = SplitSpec(),
     min_len: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Scaler]:
-    """Split along time, fit the scaler on train only, transform all three."""
+    """Split along time, fit the scaler on train only, transform all three.
+
+    The fractions are taken to 12 decimal places and the bounds computed
+    in integers, so a bound that is a whole number of steps, like 0.8 of
+    10000, is exact (0.7 + 0.1 is 0.7999999999999999 in floating point).
+    """
     v = ds.n_steps
-    end_train = int(v * spec.train)
-    end_val = int(v * (spec.train + spec.val))
+    unit = 10**12
+    train, val = round(spec.train * unit), round(spec.val * unit)
+    end_train = v * train // unit
+    end_val = v * (train + val) // unit
     bounds = {
         "train": (0, end_train),
         "val": (end_train, end_val),

@@ -11,7 +11,7 @@ is on by default; the loss is computed on the normalized scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,11 @@ class ElasTSTConfig:
         object.__setattr__(self, "patch_sizes", tuple(sorted(sizes)))
         if self.lookback < 1:
             raise ParameterError(f"lookback must be >= 1, got {self.lookback}")
+        if self.period_spec.head_dim != self.attention.head_dim:
+            raise ParameterError(
+                f"period_spec.head_dim {self.period_spec.head_dim} differs from "
+                f"attention.head_dim {self.attention.head_dim}"
+            )
 
 
 class SizeCoder:
@@ -134,7 +139,6 @@ class Forecast:
     offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
     denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
     values: np.ndarray  # (B, T)
-    per_size_values: list[np.ndarray] = field(default_factory=list)
 
     @property
     def horizon_len(self) -> int:
@@ -152,8 +156,8 @@ def forward_batch(
 ) -> Forecast:
     """Run the model over a batch of equal-length contexts.
 
-    ``use_key_mask=False`` disables the structured key mask (ablation only;
-    it forfeits horizon invariance).
+    ``use_key_mask=False`` makes every patch, placeholders included, an
+    attention key (ablation only; it forfeits horizon invariance).
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
@@ -194,14 +198,12 @@ def forward_batch(
         acc = nm.add(acc, series)
     assembled = nm.scale(acc, 1.0 / len(per_size))
 
-    restore = lambda a: a * denom[:, None] + offset[:, None]
     return Forecast(
         per_size=per_size,
         assembled=assembled,
         offset=offset,
         denom=denom,
-        values=restore(assembled.data),
-        per_size_values=[restore(s.data) for s in per_size],
+        values=assembled.data * denom[:, None] + offset[:, None],
     )
 
 
@@ -311,21 +313,29 @@ def write_checkpoint(
             f.write(mat.astype("<f8").tobytes(order="C"))
 
 
+def _read_line(path, data: bytes, pos: int, what: str) -> tuple[str, int]:
+    """The UTF-8 line starting at ``pos`` and the position after its newline."""
+    nl = data.find(b"\n", pos)
+    if nl < 0:
+        raise FormatError(f"{path}: {what} has no end of line (file truncated?)")
+    try:
+        return data[pos:nl].decode(), nl + 1
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: {what} is not valid UTF-8") from None
+
+
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[str]]:
     """Parse a checkpoint into (config echo, arrays by name, name order)."""
     data = Path(path).read_bytes()
-    try:
-        end = data.index(b"\n")
-    except ValueError:
-        raise FormatError(f"{path}: not a checkpoint file") from None
+    end = data.find(b"\n")
+    if end < 0:
+        raise FormatError(f"{path}: not a checkpoint file")
     if data[:end].decode(errors="replace") != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic line, expected {CHECKPOINT_MAGIC!r}")
     pos = end + 1
     echo: dict[str, str] = {}
     while True:
-        nl = data.index(b"\n", pos)
-        line = data[pos:nl].decode()
-        pos = nl + 1
+        line, pos = _read_line(path, data, pos, "config echo line")
         if not line:
             break
         if "=" not in line:
@@ -335,14 +345,11 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[s
     arrays: dict[str, np.ndarray] = {}
     order: list[str] = []
     while pos < len(data):
-        nl = data.index(b"\n", pos)
-        header = data[pos:nl].decode()
-        pos = nl + 1
-        try:
-            name, rows, cols = header.rsplit(" ", 2)
-            rows, cols = int(rows), int(cols)
-        except ValueError:
-            raise FormatError(f"{path}: malformed parameter header {header!r}") from None
+        header, pos = _read_line(path, data, pos, "parameter header")
+        parts = header.rsplit(" ", 2)
+        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+            raise FormatError(f"{path}: malformed parameter header {header!r}")
+        name, rows, cols = parts[0], int(parts[1]), int(parts[2])
         count = rows * cols * 8
         raw = data[pos : pos + count]
         if len(raw) != count:

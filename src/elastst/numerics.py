@@ -7,10 +7,12 @@ implementation and are worth knowing before touching anything here:
 * Forward evaluation is bitwise deterministic, and *prefix-stable*: when
   rows are appended to an operand (more patches for a longer horizon),
   the results for the pre-existing rows do not change at the bit level.
-  Reductions over data-dependent axes therefore run strictly left to
-  right, and products against weight matrices are computed in fixed-size
-  row blocks so every BLAS call sees identical dimensions regardless of
-  how many rows the input has.
+  Every forward matrix product runs as one GEMM call per fixed-size block
+  of ``_ROW_BLOCK`` rows (the last block zero-padded), so each call has
+  the same dimensions however many rows the operand has. Reductions use
+  plain ``np.sum``; the model only reduces over axes whose length is fixed
+  by the configuration and the lookback (features, context keys), never
+  over an axis that grows with the horizon.
 * The backward pass has no cross-shape stability requirement (gradients
   are only compared between runs with identical shapes), so it uses plain
   vectorized numpy for speed.
@@ -22,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import batched_matmul_seq, gelu_backward, gelu_forward, seq_sum_last
 from .errors import ContractError, DimensionError, ParameterError
 
 _ROW_BLOCK = 128  # fixed GEMM row-block size; do not vary per call site
@@ -139,38 +140,26 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# deterministic reduction kernels
+# fixed-block GEMM
 
 
-def _seq_sum_all(arr: np.ndarray) -> np.ndarray:
-    """Sequential full reduction: innermost axis first, then outward."""
-    out = np.asarray(arr, dtype=np.float64)
-    while out.ndim > 0:
-        out = seq_sum_last(out)
-    return out
+def _block_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., M, k) @ (k, n) or (..., k, n), with every GEMM call of fixed dims.
 
-
-def _block_rows_matmul(a2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(M, k) @ (k, n) where every underlying GEMM call has fixed dims.
-
-    Rows are processed in blocks of ``_ROW_BLOCK``; the last partial block
-    is zero-padded. With fixed call dimensions each output row is a pure
-    function of its own input row and ``w``, which is what makes forward
-    results independent of how many rows follow.
+    The M rows are zero-padded to a multiple of ``_ROW_BLOCK`` and split
+    into blocks, and one broadcast ``np.matmul`` makes a (128, k) @ (k, n)
+    call per block. With fixed call dimensions each output row is a pure
+    function of its own input row, its place in its block and ``b``, which
+    is what makes forward results independent of how many rows follow.
     """
-    m, k = a2.shape
-    n = w.shape[1]
-    out = np.empty((m, n), dtype=np.float64)
-    for i0 in range(0, m, _ROW_BLOCK):
-        blk = a2[i0 : i0 + _ROW_BLOCK]
-        r = blk.shape[0]
-        if r == _ROW_BLOCK:
-            np.matmul(blk, w, out=out[i0 : i0 + r])
-        else:
-            buf = np.zeros((_ROW_BLOCK, k), dtype=np.float64)
-            buf[:r] = blk
-            out[i0 : i0 + r] = np.matmul(buf, w)[:r]
-    return out
+    *lead, m, k = a.shape
+    blocks = -(-m // _ROW_BLOCK)
+    padded = np.zeros((*lead, blocks * _ROW_BLOCK, k))
+    padded[..., :m, :] = a
+    stacked = padded.reshape(*lead, blocks, _ROW_BLOCK, k)
+    rhs = b if b.ndim == 2 else b[..., None, :, :]
+    out = np.matmul(stacked, rhs)
+    return out.reshape(*lead, blocks * _ROW_BLOCK, b.shape[-1])[..., :m, :]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +178,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if k != bd.shape[0]:
             raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
         flat = ad.reshape(-1, k)
-        out_data = _block_rows_matmul(flat, bd).reshape(ad.shape[:-1] + (bd.shape[1],))
-        out = Tensor(out_data)
+        out = Tensor(_block_rows_matmul(flat, bd).reshape(ad.shape[:-1] + (bd.shape[1],)))
 
         def backward_fn(g: np.ndarray) -> None:
             gf = g.reshape(-1, bd.shape[1])
@@ -203,7 +191,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {ad.shape} vs {bd.shape}")
-    out = Tensor(batched_matmul_seq(ad, bd))
+    out = Tensor(_block_rows_matmul(ad, bd))
 
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -294,9 +282,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return record_op(out, tuple(tensors), backward_fn)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+def take(x: Tensor, axis: int, index) -> Tensor:
+    """The entries at ``index`` along ``axis``: a slice or distinct indices."""
     sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, stop)
+    sl[axis] = index
     sl = tuple(sl)
     out = Tensor(x.data[sl].copy())
 
@@ -304,9 +293,13 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         if x.requires_grad:
             full = np.zeros_like(x.data)
             full[sl] = g
-            _accum(x, full)
+            _accum(x, full, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
+
+
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    return take(x, axis, slice(start, stop))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -328,14 +321,22 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return record_op(out, (x,), backward_fn)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_A = 0.044715
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation; the gradient is of the approximation."""
     xd = x.data
-    y, t = gelu_forward(xd)
-    out = Tensor(y)
+    t = np.tanh(_GELU_C * (xd + _GELU_A * (xd * xd) * xd))
+    out = Tensor(0.5 * xd * (1.0 + t))
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, gelu_backward(g, xd, t), exclusive=True)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
+        dx = 1.0 + t
+        dx += xd * (1.0 - t * t) * du
+        dx *= 0.5 * g
+        _accum(x, dx, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -353,7 +354,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     dead = ~np.isfinite(m)  # all -inf rows
     shifted = xd - np.where(dead, 0.0, m)  # keeps -inf - -inf from producing NaN
     e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    denom = seq_sum_last(e)[..., None]
+    denom = np.sum(e, axis=-1, keepdims=True)
     y = e / np.where(denom == 0.0, 1.0, denom)
     out = Tensor(y)
 
@@ -372,7 +373,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm affine must match last dim {d}, got {gain.data.shape} and {bias.data.shape}"
         )
     # The feature axis has a config-fixed length, so np.sum's reduction tree
-    # is identical for every row and every horizon; no sequential loop needed.
+    # is identical for every row and every horizon.
     xd = x.data
     mu = np.sum(xd, axis=-1, keepdims=True) / d
     xc = xd - mu
@@ -400,11 +401,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def mean(x: Tensor) -> Tensor:
-    """Mean of all entries (sequential reduction, innermost axis first)."""
+    """Mean of all entries."""
     n = x.data.size
     if n == 0:
         raise DimensionError("mean of an empty tensor")
-    out = Tensor(_seq_sum_all(x.data) / n)
+    out = Tensor(np.sum(x.data) / n)
 
     def backward_fn(g: np.ndarray) -> None:
         _accum(x, np.full_like(x.data, float(g) / n))
@@ -420,7 +421,7 @@ def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
     _require_same_shape("mse", pred, target)
     _require_same_shape("mse", pred, weights)
     diff = pred.data - target.data
-    out = Tensor(_seq_sum_all(weights.data * diff * diff))
+    out = Tensor(np.sum(weights.data * diff * diff))
 
     def backward_fn(g: np.ndarray) -> None:
         gs = float(g)

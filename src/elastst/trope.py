@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from . import numerics as nm
 from .errors import DimensionError, ParameterError
 from .numerics import Tensor
@@ -92,15 +91,23 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     ang = TWO_PI * (pos[:, None] / np.exp(logp.data))  # (N, half)
     c = np.cos(ang)
     s = np.sin(ang)
-    yp = _kernels.rotate_forward(xd.reshape(pair_shape), c, s)
+    xp = xd.reshape(pair_shape)
+    yp = np.empty_like(xp)
+    yp[..., 0] = xp[..., 0] * c - xp[..., 1] * s
+    yp[..., 1] = xp[..., 0] * s + xp[..., 1] * c
     out = Tensor(yp.reshape(xd.shape))
 
     def backward_fn(g: np.ndarray) -> None:
-        dx, dlog = _kernels.rotate_backward(g.reshape(pair_shape), yp, c, s, ang)
+        gp = g.reshape(pair_shape)
+        g0, g1 = gp[..., 0], gp[..., 1]
         if x.requires_grad:
+            dx = np.empty_like(gp)
+            dx[..., 0] = g0 * c + g1 * s
+            dx[..., 1] = -g0 * s + g1 * c
             nm._accum(x, dx.reshape(xd.shape), exclusive=True)
         if logp.requires_grad:
-            nm._accum(logp, dlog, exclusive=True)
+            dphi = g1 * yp[..., 0] - g0 * yp[..., 1]
+            nm._accum(logp, -(dphi * ang).reshape(-1, half).sum(axis=0), exclusive=True)
 
     return nm.record_op(out, (x, logp), backward_fn)
 

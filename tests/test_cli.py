@@ -1,8 +1,11 @@
 import pytest
 
 from conftest import make_sinusoid_values, write_csv
+from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, main
 from elastst.errors import ConfigError
+from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
+from elastst.trope import PeriodSpec
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +169,39 @@ class TestEndToEnd:
         assert code == 0
         assert "max relative error" in out
         assert "trope.log_periods" in out
+
+
+class TestCorruptCheckpoint:
+    """Damaged checkpoints end in exit 3 with a one-line message."""
+
+    @pytest.fixture
+    def ckpt_bytes(self, tmp_path):
+        config = ElasTSTConfig(
+            patch_sizes=(4,),
+            period_spec=PeriodSpec(1.0, 100.0, 4),
+            attention=AttentionConfig(d_model=8, n_heads=1, head_dim=4, d_ff=8, n_layers=1),
+            lookback=8,
+        )
+        path = tmp_path / "good.ckpt"
+        write_checkpoint(path, ModelState.init(config, seed=0))
+        return path.read_bytes()
+
+    def inspect(self, tmp_path, data, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data)
+        code = main(["inspect-periods", "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        return code
+
+    def test_cut_inside_header(self, tmp_path, ckpt_bytes, capsys):
+        assert self.inspect(tmp_path, ckpt_bytes[:60], capsys) == 3
+
+    def test_parameter_header_without_newline(self, tmp_path, ckpt_bytes, capsys):
+        first = ckpt_bytes.index(b"\n\n") + 2
+        cut = ckpt_bytes[: ckpt_bytes.index(b"\n", first)]
+        assert self.inspect(tmp_path, cut, capsys) == 3
+
+    def test_non_utf8_config_echo(self, tmp_path, ckpt_bytes, capsys):
+        bad = ckpt_bytes.replace(b"d_model=", b"d_mod\xffl=", 1)
+        assert self.inspect(tmp_path, bad, capsys) == 3

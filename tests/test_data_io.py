@@ -99,6 +99,14 @@ class TestScalerAndSplit:
         with pytest.raises(ParameterError):
             SplitSpec(0.9, 0.1, 0.0)
 
+    def test_split_bounds_are_exact_for_whole_products(self, tmp_path):
+        # 0.7 + 0.1 is 0.7999999999999999 in floating point; flooring
+        # 10000 times that would give a 999-step validation split
+        values = np.arange(10000.0)[:, None]
+        ds = load_csv(write_csv(tmp_path / "long.csv", values))
+        train, val, test, _ = split_and_scale(ds, SplitSpec(0.7, 0.1, 0.2))
+        assert (len(train), len(val), len(test)) == (7000, 1000, 2000)
+
     def test_min_len_enforced(self, tmp_path):
         values = make_sinusoid_values(n_steps=100, n_variates=1, seed=3)
         ds = load_csv(write_csv(tmp_path / "c.csv", values))

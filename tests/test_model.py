@@ -31,6 +31,15 @@ def small_config(sizes=(4, 8), instance_norm=True, lookback=16):
 
 
 class TestConfig:
+    def test_period_head_dim_must_match_attention(self):
+        with pytest.raises(ParameterError):
+            ElasTSTConfig(
+                patch_sizes=(4,),
+                period_spec=PeriodSpec(1.0, 1000.0, 4),
+                attention=AttentionConfig(d_model=16, n_heads=2, head_dim=8, d_ff=24, n_layers=1),
+                lookback=16,
+            )
+
     def test_patch_sizes_validated(self):
         with pytest.raises(ParameterError):
             small_config(sizes=())

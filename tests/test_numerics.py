@@ -57,6 +57,22 @@ class TestMatmul:
         got = nm.matmul(Tensor(a), Tensor(b)).data
         np.testing.assert_allclose(got, a @ b, rtol=1e-13)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_rows_equal_fixed_block_gemm(self, batched):
+        # reference loop: each row is the row of a (128, k) @ (k, n) GEMM on
+        # its zero-padded block of 128 rows, for either operand kind
+        rng = np.random.default_rng(9)
+        lead = (2, 3) if batched else ()
+        a = rng.standard_normal(lead + (300, 7))
+        b = rng.standard_normal(lead + (7, 5))
+        got = nm.matmul(Tensor(a), Tensor(b)).data
+        for i0 in range(0, 300, 128):
+            rows = a[..., i0 : i0 + 128, :]
+            blk = np.zeros(lead + (128, 7))
+            blk[..., : rows.shape[-2], :] = rows
+            want = np.matmul(blk, b)[..., : rows.shape[-2], :]
+            assert np.array_equal(got[..., i0 : i0 + 128, :], want)
+
     def test_prefix_rows_stable_under_appended_rows(self):
         # appending rows must not change earlier rows' results at the bit level
         rng = np.random.default_rng(3)
