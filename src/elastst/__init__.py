@@ -1,14 +1,14 @@
 """Train-once, forecast-any-horizon time-series transformer.
 
 The model fills the requested horizon with zero placeholders, segments
-context and horizon into patches at several sizes, runs a shared masked
+context and horizon into patches at several sizes, runs a shared
 self-attention backbone with tunable rotary position embeddings, and
-averages the per-size forecasts. Because placeholder patches are blocked
-as attention keys, every already-predicted position is bitwise invariant
+averages the per-size forecasts. Because only context patches are
+attention keys, every already-predicted position is bitwise invariant
 to extending the horizon.
 """
 
-from .backbone import AttentionConfig, LayerWeights, masked_attention, transformer_block
+from .backbone import AttentionConfig, LayerWeights, attention, transformer_block
 from .data_io import Dataset, Scaler, SplitSpec, load_csv, sample_windows, split_and_scale, stride_windows
 from .evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
 from .model import (
@@ -23,7 +23,7 @@ from .model import (
     write_checkpoint,
 )
 from .numerics import Graph, Tensor, backward, finite_diff_check
-from .patching import PatchGrid, Window, attention_key_mask, segment, unpatch
+from .patching import PatchGrid, Window, segment, unpatch
 from .training import (
     Checkpoint,
     TrainConfig,

@@ -1,17 +1,18 @@
-"""Masked multi-head self-attention encoder blocks.
+"""Multi-head self-attention encoder blocks over a key prefix.
 
 Two departures from a stock pre-norm encoder: query/key vectors are
 position-rotated with the tunable periods before scoring, and only the
-patches the key mask allows (those carrying context) are keys. Keys and
-values are projected and rotated for those rows alone, at their own
-positions, and each query's softmax runs over those n_keys scores, so a
-patch consisting solely of placeholders has no key or value at all.
-Placeholder *queries* still attend to context keys. With the model's
-mask the keys are the context patches, whose count is fixed by the
-lookback: scores, softmax and the value mix never reduce over an axis
-that grows with the horizon, and every product runs on the fixed-block
-GEMM of :mod:`numerics`, so appending placeholder patches leaves every
-pre-existing row's output bit-identical.
+first ``n_keys`` rows are keys. The model puts its context patches
+first and its placeholder patches after them, and passes the context
+patch count as ``n_keys``, so a patch consisting solely of placeholders
+has no key or value at all; placeholder *queries* still attend to
+context keys. Keys and values are projected and rotated for the prefix
+alone, and each query's softmax runs over those n_keys scores. The
+context patch count is fixed by the lookback: scores, softmax and the
+value mix never reduce over an axis that grows with the horizon, and
+every product runs on the fixed-block GEMM of :mod:`numerics`, so
+appending placeholder patches leaves every pre-existing row's output
+bit-identical.
 """
 
 from __future__ import annotations
@@ -85,32 +86,25 @@ class LayerWeights:
         return named
 
 
-def _with_batch(h: Tensor) -> tuple[Tensor, bool]:
-    if h.data.ndim == 2:
-        n, d = h.data.shape
-        return nm.reshape(h, (1, n, d)), True
-    if h.data.ndim == 3:
-        return h, False
-    raise ContractError(f"attention input must be (N, D) or (B, N, D), got {h.data.shape}")
-
-
-def _attention(
+def attention(
     h: Tensor,
-    key_mask: np.ndarray,
+    n_keys: int,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
 ) -> tuple[Tensor, Tensor]:
-    """Returns (output (B, N, D), attention probabilities (B, heads, N, n_keys))."""
-    key_mask = np.asarray(key_mask, dtype=bool)
-    if not key_mask.any():
-        raise ContractError("key mask blocks every patch; nothing to attend to")
-    cfg = weights.config
+    """Multi-head attention of all N rows over the first ``n_keys`` rows.
+
+    ``h`` is (B, N, D). Returns the output (B, N, D) and the attention
+    probabilities (B, heads, N, n_keys).
+    """
+    if h.data.ndim != 3 or not 1 <= n_keys <= h.data.shape[1]:
+        raise ContractError(
+            f"attention needs (B, N, D) input and 1 <= n_keys <= N, got {h.data.shape} and {n_keys}"
+        )
     b, n, _ = h.data.shape
-    if key_mask.shape != (n,):
-        raise ContractError(f"key mask must have shape ({n},), got {key_mask.shape}")
+    cfg = weights.config
     hd, heads = cfg.head_dim, cfg.n_heads
-    keys = np.flatnonzero(key_mask)
-    h_keys = nm.take(h, 1, keys)
+    h_keys = nm.slice_axis(h, 1, 0, n_keys)
 
     def project(x, mats):
         rows = x.data.shape[1]
@@ -119,7 +113,7 @@ def _attention(
         return nm.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, hd)
 
     q = trope.rotate(project(h, weights.wq), np.arange(n), periods)
-    k = trope.rotate(project(h_keys, weights.wk), keys, periods)
+    k = trope.rotate(project(h_keys, weights.wk), np.arange(n_keys), periods)
     v = project(h_keys, weights.wv)
 
     scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
@@ -129,50 +123,18 @@ def _attention(
     return nm.matmul(merged, weights.wo), probs
 
 
-def masked_attention(
-    h: Tensor,
-    key_mask: np.ndarray,
-    periods: trope.TunablePeriods,
-    weights: LayerWeights,
-) -> Tensor:
-    """Multi-head attention over context-carrying keys only."""
-    batched, squeeze = _with_batch(h)
-    out, _ = _attention(batched, key_mask, periods, weights)
-    if squeeze:
-        out = nm.reshape(out, out.data.shape[1:])
-    return out
-
-
-def attention_probabilities(
-    h: Tensor,
-    key_mask: np.ndarray,
-    periods: trope.TunablePeriods,
-    weights: LayerWeights,
-) -> np.ndarray:
-    """Attention weights (B, heads, N, N); rows sum to 1 over unmasked keys."""
-    batched, _ = _with_batch(h)
-    _, probs = _attention(batched, key_mask, periods, weights)
-    full = np.zeros(probs.data.shape[:-1] + (batched.data.shape[1],))
-    full[..., np.flatnonzero(key_mask)] = probs.data
-    return full
-
-
 def transformer_block(
     h: Tensor,
-    key_mask: np.ndarray,
+    n_keys: int,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
 ) -> Tensor:
-    """Pre-norm residual block: x + Attn(LN(x)), then x + FFN(LN(x))."""
-    batched, squeeze = _with_batch(h)
-    normed = nm.layer_norm(batched, weights.ln1_gain, weights.ln1_bias)
-    attn_out, _ = _attention(normed, key_mask, periods, weights)
-    mid = nm.add(batched, attn_out)
+    """Pre-norm residual block on (B, N, D): x + Attn(LN(x)), then x + FFN(LN(x))."""
+    normed = nm.layer_norm(h, weights.ln1_gain, weights.ln1_bias)
+    attn_out, _ = attention(normed, n_keys, periods, weights)
+    mid = nm.add(h, attn_out)
 
     normed2 = nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)
     hidden = nm.gelu(nm.bias_add(nm.matmul(normed2, weights.ffn_w1), weights.ffn_b1))
     ffn_out = nm.bias_add(nm.matmul(hidden, weights.ffn_w2), weights.ffn_b2)
-    out = nm.add(mid, ffn_out)
-    if squeeze:
-        out = nm.reshape(out, out.data.shape[1:])
-    return out
+    return nm.add(mid, ffn_out)

@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data_io, evaluation, gradcheck, training
 from .backbone import AttentionConfig
 from .errors import (
@@ -174,7 +176,9 @@ def cmd_train(args) -> int:
     ds, train_v, val_v, _, scaler = _load_splits(config)
     state = ModelState.init(model_config(config), seed=config["train.seed"])
     data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler, name=ds.name)
-    best = training.train(state, data, train_config(config))
+    # a non-finite loss raises FloatingPointError (exit 4); numpy's warnings would add lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = training.train(state, data, train_config(config))
     if best.epoch == 0:  # epochs=0: nothing was checkpointed during training
         training.save_training_checkpoint(config["out.checkpoint"], best)
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")

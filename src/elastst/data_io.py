@@ -30,7 +30,6 @@ class Dataset:
     timestamps: tuple[str, ...]
     values: np.ndarray  # (V, K)
     columns: tuple[str, ...]
-    freq: str | None = None
     dropped_rows: int = 0
 
     @property
@@ -56,7 +55,7 @@ def _timestamp_key(raw: str, row: int):
         ) from None
 
 
-def load_csv(path, freq: str | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a wide CSV into a Dataset, dropping non-finite rows."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as f:
@@ -105,7 +104,6 @@ def load_csv(path, freq: str | None = None) -> Dataset:
         timestamps=tuple(timestamps),
         values=np.array(rows, dtype=np.float64),
         columns=columns,
-        freq=freq,
         dropped_rows=dropped,
     )
 

@@ -140,13 +140,6 @@ class Forecast:
     denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
     values: np.ndarray  # (B, T)
 
-    @property
-    def horizon_len(self) -> int:
-        return self.assembled.data.shape[1]
-
-    def series(self, window: int = 0) -> np.ndarray:
-        return self.values[window]
-
 
 def forward_batch(
     state: ModelState,
@@ -180,13 +173,13 @@ def forward_batch(
     for p in cfg.patch_sizes:
         n_c, n_h, _, _ = grid_dims(length, horizon, p)
         patches = Tensor(segment_batch(normed, horizon, p))
-        key_mask = np.arange(n_c + n_h) < n_c if use_key_mask else np.ones(n_c + n_h, dtype=bool)
+        n_keys = n_c if use_key_mask else n_c + n_h
 
         coder = state.coders[p]
         hidden = nm.gelu(nm.bias_add(nm.matmul(patches, coder.enc_w1), coder.enc_b1))
         h = nm.bias_add(nm.matmul(hidden, coder.enc_w2), coder.enc_b2)
         for layer in state.layers:
-            h = transformer_block(h, key_mask, state.periods, layer)
+            h = transformer_block(h, n_keys, state.periods, layer)
         hor = nm.slice_axis(h, 1, n_c, n_c + n_h)
         dec_hidden = nm.gelu(nm.bias_add(nm.matmul(hor, coder.dec_w1), coder.dec_b1))
         dec = nm.bias_add(nm.matmul(dec_hidden, coder.dec_w2), coder.dec_b2)  # (B, n_h, p)
@@ -360,9 +353,13 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[s
     return echo, arrays, order
 
 
-def state_from_arrays(config: ElasTSTConfig, arrays: dict[str, np.ndarray]) -> ModelState:
+def state_from_arrays(
+    config: ElasTSTConfig, arrays: dict[str, np.ndarray], prefix: str = ""
+) -> ModelState:
+    """The model whose parameter ``name`` is the block ``prefix + name``."""
     state = ModelState.init(config, seed=0)
     for name, tensor in state.parameters():
+        name = prefix + name
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]

@@ -282,10 +282,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return record_op(out, tuple(tensors), backward_fn)
 
 
-def take(x: Tensor, axis: int, index) -> Tensor:
-    """The entries at ``index`` along ``axis``: a slice or distinct indices."""
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
-    sl[axis] = index
+    sl[axis] = slice(start, stop)
     sl = tuple(sl)
     out = Tensor(x.data[sl].copy())
 
@@ -296,10 +295,6 @@ def take(x: Tensor, axis: int, index) -> Tensor:
             _accum(x, full, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    return take(x, axis, slice(start, stop))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -344,18 +339,14 @@ def gelu(x: Tensor) -> Tensor:
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis with max-subtraction.
 
-    -inf entries map to exactly 0. A row that is entirely -inf yields the
-    zero row (the caller treats that as "fully masked").
+    Each row needs at least one finite entry (an all -inf row gives NaN);
+    -inf entries then map to exactly 0.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] < 1:
         raise DimensionError(f"softmax_lastdim needs a non-empty last axis, got {xd.shape}")
-    m = np.max(xd, axis=-1, keepdims=True)
-    dead = ~np.isfinite(m)  # all -inf rows
-    shifted = xd - np.where(dead, 0.0, m)  # keeps -inf - -inf from producing NaN
-    e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    denom = np.sum(e, axis=-1, keepdims=True)
-    y = e / np.where(denom == 0.0, 1.0, denom)
+    e = np.exp(xd - np.max(xd, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward_fn(g: np.ndarray) -> None:

@@ -4,8 +4,9 @@ A forecast request is a context series plus a horizon length. Context and
 horizon are padded and segmented *separately* so that no patch ever mixes
 observed values with placeholder positions: the context is left-padded
 with zeros to a multiple of the patch size, the horizon is materialized
-as zeros and right-padded. That separation is what makes the key-side
-attention mask exact for arbitrary horizon lengths.
+as zeros and right-padded. Context patches come first and placeholder
+patches after them, so for any horizon length the attention keys, the
+context patches, are exactly the first ``context_patches`` rows.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ class PatchGrid:
     """Padded, segmented view of one context+placeholder window."""
 
     patch_size: int
-    patches: np.ndarray  # (N, P)
-    is_placeholder: np.ndarray  # (N,) bool
+    patches: np.ndarray  # (N, P), context patches first
     left_pad: int
     right_pad: int
     context_patches: int
@@ -62,17 +62,11 @@ def grid_dims(context_len: int, horizon_len: int, patch_size: int) -> tuple[int,
 
 
 def segment(window: Window, patch_size: int) -> PatchGrid:
-    """Segment a window into non-overlapping patches with placeholder flags."""
-    ctx = window.context
-    n_c, n_h, left_pad, right_pad = grid_dims(ctx.shape[0], window.horizon_len, patch_size)
-    padded_ctx = np.concatenate([np.zeros(left_pad), ctx]).reshape(n_c, patch_size)
-    placeholder = np.zeros((n_h, patch_size))
-    flags = np.zeros(n_c + n_h, dtype=bool)
-    flags[n_c:] = True
+    """Segment a window into non-overlapping context and placeholder patches."""
+    n_c, n_h, left_pad, right_pad = grid_dims(window.context.shape[0], window.horizon_len, patch_size)
     return PatchGrid(
         patch_size=patch_size,
-        patches=np.concatenate([padded_ctx, placeholder], axis=0),
-        is_placeholder=flags,
+        patches=segment_batch(window.context[None, :], window.horizon_len, patch_size)[0],
         left_pad=left_pad,
         right_pad=right_pad,
         context_patches=n_c,
@@ -81,24 +75,12 @@ def segment(window: Window, patch_size: int) -> PatchGrid:
 
 
 def segment_batch(contexts: np.ndarray, horizon_len: int, patch_size: int) -> np.ndarray:
-    """Batched ``segment``: (B, L) contexts to (B, N, P) patches.
-
-    Rows follow the single-window layout exactly: left-padded context
-    patches first, placeholder (zero) patches last.
-    """
+    """(B, L) contexts to (B, N, P) patches: left-padded context patches
+    first, placeholder (zero) patches last."""
     b, length = contexts.shape
     n_c, n_h, left_pad, _ = grid_dims(length, horizon_len, patch_size)
     ctx = np.concatenate([np.zeros((b, left_pad)), contexts], axis=1).reshape(b, n_c, patch_size)
     return np.concatenate([ctx, np.zeros((b, n_h, patch_size))], axis=1)
-
-
-def attention_key_mask(grid: PatchGrid) -> np.ndarray:
-    """True where a patch may serve as an attention key.
-
-    Placeholder patches are blocked; context patches stay attendable even
-    when they contain left-pad zeros (they carry partial observations).
-    """
-    return ~grid.is_placeholder
 
 
 def unpatch(horizon_patch_outputs: np.ndarray, grid: PatchGrid) -> np.ndarray:

@@ -29,7 +29,15 @@ import numpy as np
 
 from . import data_io, evaluation
 from .errors import DimensionError, ParameterError, SizingError
-from .model import ModelState, composite_loss, forward_batch, write_checkpoint
+from .model import (
+    ModelState,
+    composite_loss,
+    config_from_echo,
+    forward_batch,
+    read_checkpoint,
+    state_from_arrays,
+    write_checkpoint,
+)
 from .numerics import Graph, backward
 
 REWEIGHT_MODES = ("log-approx", "exact-harmonic", "fixed-uniform", "sampled")
@@ -46,7 +54,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_path: str | None = None
     log_path: str | None = None
-    val_stride: int | None = None  # default: t_max (non-overlapping)
 
     def __post_init__(self):
         if self.t_max < 1:
@@ -200,17 +207,12 @@ def _snapshot(state: ModelState, m, v, step_count, epoch, best, log) -> Checkpoi
 
 
 def validation_nmae(state: ModelState, data: TrainData, config: TrainConfig) -> tuple[float, float]:
-    """NMAE/NRMSE on the validation split at the training horizon, original scale."""
-    lookback = state.config.lookback
-    stride = config.val_stride or config.t_max
-    samples = data_io.stride_windows(data.val_values, lookback, config.t_max, stride)
-    contexts = np.stack([s.window.context for s in samples])
-    forecast = forward_batch(state, contexts, config.t_max)
-    preds = np.stack(
-        [data.scaler.inverse_variate(forecast.values[i], s.variate) for i, s in enumerate(samples)]
-    )
-    actual = np.stack([data.scaler.inverse_variate(s.target, s.variate) for s in samples])
-    return evaluation.nmae(actual, preds), evaluation.nrmse(actual, preds)
+    """NMAE/NRMSE on the validation split at the training horizon, original scale,
+    over non-overlapping windows."""
+    (row,) = evaluation.varied_horizon_eval(
+        state, data.val_values, state.config.lookback, [config.t_max], data.scaler, stride=config.t_max
+    ).rows
+    return row.nmae, row.nrmse
 
 
 def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -226,18 +228,16 @@ def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_training_checkpoint(path) -> Checkpoint:
-    from .model import config_from_echo, read_checkpoint, state_from_arrays
-
     echo, arrays, _ = read_checkpoint(path)
-    state = state_from_arrays(config_from_echo(echo), arrays)
-    names = [n for n, _ in state.parameters()]
-    params = [t for _, t in state.parameters()]
-    m = [arrays[f"opt.m.{n}"].reshape(p.data.shape) for n, p in zip(names, params)]
-    v = [arrays[f"opt.v.{n}"].reshape(p.data.shape) for n, p in zip(names, params)]
+    config = config_from_echo(echo)
+
+    def blocks(prefix: str) -> list[np.ndarray]:
+        return [t.data for _, t in state_from_arrays(config, arrays, prefix).parameters()]
+
     return Checkpoint(
-        state=state,
-        adam_m=m,
-        adam_v=v,
+        state=state_from_arrays(config, arrays),
+        adam_m=blocks("opt.m."),
+        adam_v=blocks("opt.v."),
         step_count=int(echo.get("step_count", "0")),
         epoch=int(echo.get("epoch", "0")),
         best_val_nmae=float(echo.get("best_val_nmae", "inf")),
@@ -254,7 +254,9 @@ def train(
 
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
-    NMAE at ``t_max`` drives best-checkpoint retention.
+    NMAE at ``t_max`` drives best-checkpoint retention. A non-finite step
+    loss or validation NMAE raises ``FloatingPointError``; the checkpoint
+    file then still holds the last (finite) best.
     """
     lookback = state.config.lookback
     needed = lookback + config.t_max
@@ -306,16 +308,25 @@ def train(
             with graph:
                 forecast = forward_batch(state, contexts, config.t_max)
                 loss = composite_loss(forecast, targets, weight_matrix)
+            step_count += 1
+            step_loss = loss.item()
+            if not math.isfinite(step_loss):
+                raise FloatingPointError(
+                    f"training loss is {step_loss} at epoch {epoch}, step {step_count}"
+                )
             backward(loss)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            step_count += 1
             adam_step(
                 [p.data for p in params], grads, m, v, config.learning_rate, step_count=step_count
             )
             graph.clear()
-            loss_sum += loss.item()
+            loss_sum += step_loss
 
         val_nmae, val_nrmse = validation_nmae(state, data, config)
+        if not math.isfinite(val_nmae):
+            raise FloatingPointError(
+                f"validation NMAE is {val_nmae} after epoch {epoch}, step {step_count}"
+            )
         log.append(
             {
                 "epoch": epoch,

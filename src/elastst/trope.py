@@ -67,9 +67,8 @@ def init_periods(spec: PeriodSpec) -> TunablePeriods:
 def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     """Rotate each (x_{2j-1}, x_{2j}) pair by 2*pi*t / P_j.
 
-    ``x`` is (..., d) for a single position or (..., N, d) with one position
-    per row along the second-to-last axis. Differentiable in both ``x`` and
-    the log-periods.
+    ``x`` is (..., N, d) with one position per row along the
+    second-to-last axis. Differentiable in both ``x`` and the log-periods.
     """
     xd = x.data
     logp = periods.log_periods
@@ -77,16 +76,9 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     if xd.shape[-1] != 2 * half:
         raise DimensionError(f"rotate needs last dim {2 * half}, got shape {xd.shape}")
     pos = np.asarray(positions, dtype=np.float64)
-    scalar_pos = pos.ndim == 0
-    if scalar_pos:
-        if xd.ndim != 1:
-            raise DimensionError(f"scalar position needs a 1-D vector, got shape {xd.shape}")
-        pos = pos.reshape(1)
-        pair_shape: tuple[int, ...] = (1, half, 2)
-    else:
-        if xd.ndim < 2 or pos.shape != (xd.shape[-2],):
-            raise DimensionError(f"positions {pos.shape} do not match input shape {xd.shape}")
-        pair_shape = xd.shape[:-1] + (half, 2)
+    if xd.ndim < 2 or pos.shape != (xd.shape[-2],):
+        raise DimensionError(f"positions {pos.shape} do not match input shape {xd.shape}")
+    pair_shape = xd.shape[:-1] + (half, 2)
 
     ang = TWO_PI * (pos[:, None] / np.exp(logp.data))  # (N, half)
     c = np.cos(ang)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from conftest import make_sinusoid_values, write_csv
@@ -156,6 +158,18 @@ class TestEndToEnd:
             ["forecast", "--config", str(config_path), "--horizon", "4", "--at", "2999-01-01"]
         )
         assert code == 3
+
+    def test_divergent_training_is_a_numeric_failure(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        args = ["train", "--config", str(config_path), "--set", "train.lr=1e100",
+                "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}",
+                "--set", f"out.log={tmp_path / 'log.csv'}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would add stderr lines
+            assert main(args) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "epoch 1" in err and "Traceback" not in err
 
     def test_missing_dataset_is_a_data_error(self, workspace):
         _, config_path = workspace

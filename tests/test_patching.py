@@ -4,7 +4,6 @@ import pytest
 from elastst.errors import DimensionError, ParameterError
 from elastst.patching import (
     Window,
-    attention_key_mask,
     grid_dims,
     segment,
     segment_batch,
@@ -47,7 +46,6 @@ class TestSegment:
     def test_single_patch_content(self):
         grid = segment(window(8, 8), 8)
         assert grid.patches.tolist() == [[1, 2, 3, 4, 5, 6, 7, 8], [0] * 8]
-        assert grid.is_placeholder.tolist() == [False, True]
 
     def test_left_padding_goes_before_context(self):
         grid = segment(Window(np.array([5.0, 6.0, 7.0]), 4), 4)
@@ -66,20 +64,6 @@ class TestSegment:
             hor_rows = grid.patches[grid.context_patches :]
             assert np.all(hor_rows == 0.0)
             assert ctx_rows.size == grid.context_patches * p
-
-
-class TestKeyMask:
-    def test_exact_divisibility_counts(self):
-        mask = attention_key_mask(segment(window(96, 96), 8))
-        assert mask[:12].all() and not mask[12:].any()
-
-    def test_padded_counts(self):
-        mask = attention_key_mask(segment(window(90, 100), 8))
-        assert mask.sum() == 12 and (~mask).sum() == 13
-
-    def test_padded_context_patches_stay_attendable(self):
-        grid = segment(Window(np.array([1.0]), 8), 4)  # context is mostly left-pad
-        assert attention_key_mask(grid)[0]
 
 
 class TestUnpatch:

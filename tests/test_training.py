@@ -7,8 +7,8 @@ import pytest
 from conftest import make_sinusoid_values
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
-from elastst.errors import ParameterError, SizingError
-from elastst.model import ElasTSTConfig, ModelState
+from elastst.errors import FormatError, ParameterError, SizingError
+from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
 from elastst.training import (
     TrainConfig,
     TrainData,
@@ -221,6 +221,24 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(loaded.adam_v, ckpt.adam_v):
             np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_loss_raises(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        state, data, cfg = tiny_setup(epochs=2, checkpoint_path=path)
+        data.train_values[100:200, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as err:
+            train(state, data, cfg)
+        assert "epoch 1" in str(err.value) and "step" in str(err.value)
+        assert not path.exists()  # no finite best was ever reached
+        assert all(np.all(np.isfinite(t.data)) for _, t in state.parameters())
+
+    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        state, _, _ = tiny_setup()
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError) as err:
+            load_training_checkpoint(path)
+        assert "opt.m.size4.enc.w1" in str(err.value)
 
     def test_rejects_short_training_split(self):
         state, data, cfg = tiny_setup()

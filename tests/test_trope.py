@@ -47,21 +47,21 @@ class TestRotate:
     def test_zero_position_is_identity(self):
         rng = np.random.default_rng(20)
         periods = init_periods(PeriodSpec(1.0, 1000.0, 8))
-        x = rng.standard_normal(8)
-        out = rotate(Tensor(x), 0, periods)
+        x = rng.standard_normal((1, 8))
+        out = rotate(Tensor(x), [0], periods)
         assert np.array_equal(out.data, x)
 
     def test_quarter_turn(self):
-        out = rotate(Tensor([1.0, 0.0]), 1, single_period(4.0))
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+        out = rotate(Tensor([[1.0, 0.0]]), [1], single_period(4.0))
+        np.testing.assert_allclose(out.data, [[0.0, 1.0]], atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(21)
         periods = init_periods(PeriodSpec(1.0, 1000.0, 16))
         for _ in range(20):
-            x = rng.standard_normal(16)
+            x = rng.standard_normal((1, 16))
             t = int(rng.integers(0, 500))
-            out = rotate(Tensor(x), t, periods).data
+            out = rotate(Tensor(x), [t], periods).data
             assert abs(np.linalg.norm(out) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
 
     def test_positions_per_row(self):
@@ -70,13 +70,15 @@ class TestRotate:
         x = rng.standard_normal((5, 8))
         stacked = rotate(Tensor(x), np.arange(5), periods).data
         for i in range(5):
-            row = rotate(Tensor(x[i]), i, periods).data
-            np.testing.assert_array_equal(stacked[i], row)
+            row = rotate(Tensor(x[i : i + 1]), [i], periods).data
+            np.testing.assert_array_equal(stacked[i], row[0])
 
     def test_length_mismatch(self):
         periods = init_periods(PeriodSpec(1.0, 100.0, 8))
         with pytest.raises(DimensionError):
-            rotate(Tensor(np.zeros(6)), 0, periods)
+            rotate(Tensor(np.zeros((1, 6))), [0], periods)
+        with pytest.raises(DimensionError):
+            rotate(Tensor(np.zeros(8)), 0, periods)
         with pytest.raises(DimensionError):
             rotate(Tensor(np.zeros((3, 8))), np.arange(4), periods)
 
