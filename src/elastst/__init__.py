@@ -6,7 +6,16 @@ self-attention backbone with tunable rotary position embeddings, and
 averages the per-size forecasts. Because only context patches are
 attention keys, every already-predicted position is bitwise invariant
 to extending the horizon.
+
+Importing the package pins the BLAS thread pools to one thread, the
+deterministic setting, unless the caller has already set them. The pin
+only takes effect when this package is imported before numpy.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .backbone import AttentionConfig, LayerWeights, attention, transformer_block
 from .data_io import Dataset, Scaler, SplitSpec, load_csv, sample_windows, split_and_scale, stride_windows
@@ -16,7 +25,6 @@ from .model import (
     Forecast,
     ModelState,
     composite_loss,
-    forward,
     forward_batch,
     load_model,
     read_checkpoint,

@@ -87,8 +87,10 @@ def _read_config_file(path: str) -> list[tuple[str, str]]:
     pairs = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,12 +191,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = build_config(args.config, args.set)
+    try:
+        horizons = list(_parse_int_list(args.horizons))
+    except ValueError:
+        raise ConfigError(f"--horizons must be comma-separated integers, got {args.horizons!r}") from None
+    if any(h < 1 for h in horizons):
+        raise ConfigError(f"horizons must be >= 1, got {args.horizons!r}")
     checkpoint_path = args.checkpoint or config["out.checkpoint"]
     state, _, _ = load_model(checkpoint_path)
     ds, _, _, test_v, scaler = _load_splits(config)
-    horizons = list(_parse_int_list(args.horizons))
-    if any(h < 1 for h in horizons):
-        raise ConfigError(f"horizons must be >= 1, got {args.horizons!r}")
     report = evaluation.varied_horizon_eval(
         state,
         test_v,
@@ -297,10 +302,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--set", action="append", metavar="KEY=VALUE", help="override one configuration key"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="upper bound on internal parallelism (default 1; execution is sequential)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,13 +354,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IngestionError, FormatError, SizingError, FileNotFoundError) as exc:
+    except (IngestionError, FormatError, SizingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (MetricUndefinedError, DimensionError, ContractError, FloatingPointError) as exc:

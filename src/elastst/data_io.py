@@ -55,11 +55,18 @@ def _timestamp_key(raw: str, row: int):
         ) from None
 
 
+def _csv_rows(f, path: Path):
+    try:
+        yield from csv.reader(f)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def load_csv(path) -> Dataset:
     """Load a wide CSV into a Dataset, dropping non-finite rows."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = _csv_rows(f, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -145,8 +152,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fractions = (self.train, self.val, self.test)
-        if any(f <= 0 for f in fractions):
-            raise ParameterError(f"split fractions must be positive, got {fractions}")
+        if not all(0 < f < np.inf for f in fractions):
+            raise ParameterError(f"split fractions must be positive and finite, got {fractions}")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise ParameterError(f"split fractions must sum to 1, got {sum(fractions)}")
 

@@ -58,7 +58,6 @@ class MetricReport:
     rows: list[MetricRow]
     dataset: str = ""
     checkpoint_id: str = ""
-    lookback: int = 0
 
     def to_csv(self) -> str:
         lines = ["horizon,nmae,nrmse,windows"]
@@ -93,7 +92,7 @@ def varied_horizon_eval(
     """
     rows = []
     for horizon in horizons:
-        samples = data_io.stride_windows(values, lookback, horizon, stride if stride else horizon)
+        samples = data_io.stride_windows(values, lookback, horizon, stride)
         contexts = np.stack([s.window.context for s in samples])
         forecast = forward_batch(state, contexts, horizon)
         preds = np.stack(
@@ -108,4 +107,4 @@ def varied_horizon_eval(
                 windows=len(samples),
             )
         )
-    return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id, lookback=lookback)
+    return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id)

@@ -21,7 +21,7 @@ from . import trope
 from .backbone import AttentionConfig, LayerWeights, transformer_block
 from .errors import DimensionError, FormatError, ParameterError
 from .numerics import Tensor
-from .patching import Window, grid_dims, segment_batch
+from .patching import grid_dims, segment_batch
 from .trope import PeriodSpec, TunablePeriods, init_periods
 
 CHECKPOINT_MAGIC = "ELASTST-CKPT v1"
@@ -198,11 +198,6 @@ def forward_batch(
         denom=denom,
         values=assembled.data * denom[:, None] + offset[:, None],
     )
-
-
-def forward(state: ModelState, window: Window, use_key_mask: bool = True) -> Forecast:
-    """Single-window convenience wrapper around :func:`forward_batch`."""
-    return forward_batch(state, window.context[None, :], window.horizon_len, use_key_mask)
 
 
 def composite_loss(forecast: Forecast, target: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -40,25 +40,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.graph: "Graph | None" = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -83,9 +68,6 @@ class Graph:
 
     def __exit__(self, *exc) -> None:
         _GRAPH_STACK.pop()
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def clear(self) -> None:
         self._nodes.clear()

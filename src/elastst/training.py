@@ -58,8 +58,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.t_max < 1:
             raise ParameterError(f"t_max must be >= 1, got {self.t_max}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if self.batch_size < 1 or self.batches_per_epoch < 1:
+            raise ParameterError(
+                f"batch_size and batches_per_epoch must be >= 1, got {self.batch_size} and {self.batches_per_epoch}"
+            )
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.reweight_mode not in REWEIGHT_MODES:
             raise ParameterError(f"unknown reweight mode {self.reweight_mode!r}, options: {REWEIGHT_MODES}")
 

@@ -52,9 +52,6 @@ class TunablePeriods:
         """Current period values P_j = exp(log P_j)."""
         return np.exp(self.log_periods.data)
 
-    def copy(self) -> "TunablePeriods":
-        return TunablePeriods(Tensor(self.log_periods.data.copy(), requires_grad=True))
-
 
 def init_periods(spec: PeriodSpec) -> TunablePeriods:
     """Exponentially spaced periods: P_j = p_min * exp(2*alpha*(j-1)) with

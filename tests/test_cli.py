@@ -1,10 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from conftest import make_sinusoid_values, write_csv
 from elastst.backbone import AttentionConfig
-from elastst.cli import build_config, main
+from elastst.cli import build_config, main, model_config
 from elastst.errors import ConfigError
 from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
 from elastst.trope import PeriodSpec
@@ -65,10 +70,6 @@ class TestConfigHandling:
 
     def test_unknown_key_exit_code(self, capsys):
         assert main(["train", "--set", "no.such=1"]) == 2
-
-    def test_threads_must_be_positive(self, workspace, capsys):
-        _, config_path = workspace
-        assert main(["train", "--config", str(config_path), "--threads", "0"]) == 2
 
 
 class TestDefaults:
@@ -219,3 +220,106 @@ class TestCorruptCheckpoint:
     def test_non_utf8_config_echo(self, tmp_path, ckpt_bytes, capsys):
         bad = ckpt_bytes.replace(b"d_model=", b"d_mod\xffl=", 1)
         assert self.inspect(tmp_path, bad, capsys) == 3
+
+
+def _train(config_path, tmp_path, *settings):
+    outputs = [f"out.checkpoint={tmp_path / 'model.ckpt'}", f"out.log={tmp_path / 'log.csv'}"]
+    args = ["train", "--config", str(config_path)]
+    for item in outputs + list(settings):
+        args += ["--set", item]
+    return args
+
+
+def _evaluate(config_path, tmp_path, *extra):
+    checkpoint = tmp_path / "model.ckpt"
+    state = ModelState.init(model_config(build_config(str(config_path), [])), seed=0)
+    write_checkpoint(checkpoint, state)
+    return ["evaluate", "--config", str(config_path), "--checkpoint", str(checkpoint), *extra]
+
+
+def _file(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+NOT_UTF8_CSV = b"ts,v0\n0,1.0\xff\n"
+HUGE_FIELD_CSV = b"ts,v0\n0," + b"1" * 200_000 + b"\n"  # the csv module's field limit is 131072
+
+# case -> (exit code, argv built from the workspace config path and a scratch directory)
+BAD_INPUTS = {
+    "csv_not_utf8": (3, lambda cfg, tmp: _train(
+        cfg, tmp, f"data.path={_file(tmp, 'bad.csv', NOT_UTF8_CSV)}")),
+    "csv_field_too_large": (3, lambda cfg, tmp: _train(
+        cfg, tmp, f"data.path={_file(tmp, 'big.csv', HUGE_FIELD_CSV)}")),
+    "config_not_utf8": (2, lambda cfg, tmp: [
+        "train", "--config", _file(tmp, "bad.cfg", cfg.read_bytes() + b"# \xff\n")]),
+    "config_is_a_directory": (2, lambda cfg, tmp: ["train", "--config", str(tmp)]),
+    "data_path_is_a_directory": (3, lambda cfg, tmp: _train(cfg, tmp, f"data.path={tmp}")),
+    "checkpoint_setting_is_a_directory": (3, lambda cfg, tmp: _train(cfg, tmp, f"out.checkpoint={tmp}")),
+    "checkpoint_flag_is_a_directory": (3, lambda cfg, tmp: [
+        "evaluate", "--config", str(cfg), "--checkpoint", str(tmp), "--horizons", "8"]),
+    "horizon_not_an_integer": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,x")),
+    "zero_stride": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8", "--stride", "0")),
+    "zero_batch_size": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batch_size=0")),
+    "zero_batches_per_epoch": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batches_per_epoch=0")),
+    "negative_epochs": (2, lambda cfg, tmp: _train(cfg, tmp, "train.epochs=-3")),
+    "nan_learning_rate": (2, lambda cfg, tmp: _train(cfg, tmp, "train.lr=nan")),
+    "nan_split_fraction": (2, lambda cfg, tmp: _train(cfg, tmp, "data.split=0.7,0.15,nan")),
+}
+
+
+class TestBadInput:
+    """Bad files and settings end in their exit code with one stderr line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_one_line(self, case, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        code, make_args = BAD_INPUTS[case]
+        assert main(make_args(config_path, tmp_path)) == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+_THREAD_PROBE = """
+import importlib, json, os, re, sys
+
+class NumpyImportProbe:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpyImportProbe())
+text = open(sys.argv[1], encoding="utf-8").read()
+module, attr = re.search(r'^elastst = "([\\w.]+):(\\w+)"', text, re.M).groups()
+getattr(importlib.import_module(module), attr)
+print(json.dumps(NumpyImportProbe.seen))
+"""
+
+
+class TestThreadPin:
+    """The console-script target pins BLAS threads before numpy loads."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def blas_threads_at_numpy_import(self, **env_vars):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(env_vars, PYTHONPATH=str(self.ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(self.ROOT / "pyproject.toml")],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        seen = json.loads(result.stdout)
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_one_thread_by_default(self):
+        assert self.blas_threads_at_numpy_import() == "1"
+
+    def test_caller_setting_wins(self):
+        assert self.blas_threads_at_numpy_import(OPENBLAS_NUM_THREADS="2") == "2"

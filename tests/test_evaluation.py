@@ -90,7 +90,6 @@ class TestHarness:
         report = MetricReport(
             rows=[MetricRow(horizon=8, nmae=0.25, nrmse=0.5, windows=12)],
             dataset="demo",
-            lookback=16,
         )
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "horizon,nmae,nrmse,windows"

@@ -9,14 +9,12 @@ from elastst.model import (
     Forecast,
     ModelState,
     composite_loss,
-    forward,
     forward_batch,
     load_model,
     read_checkpoint,
     write_checkpoint,
 )
 from elastst.numerics import Graph, Tensor, backward
-from elastst.patching import Window
 from elastst.trope import PeriodSpec
 
 
@@ -68,13 +66,6 @@ class TestForward:
         fc = forward_batch(state, ctx, 8)
         assert np.array_equal(fc.assembled.data, np.zeros((3, 8)))
         np.testing.assert_array_equal(fc.values, np.tile(fc.offset[:, None], (1, 8)))
-
-    def test_forward_matches_forward_batch(self):
-        state = ModelState.init(small_config(), seed=1)
-        ctx = np.random.default_rng(2).standard_normal(16)
-        single = forward(state, Window(ctx, 11)).values
-        batched = forward_batch(state, ctx[None], 11).values
-        assert np.array_equal(single, batched)
 
     def test_forward_is_deterministic(self):
         state = ModelState.init(small_config(), seed=2)
