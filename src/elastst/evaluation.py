@@ -89,22 +89,32 @@ def varied_horizon_eval(
     with strided windows (default stride = horizon, non-overlapping), the
     forecasts are mapped back to the original scale, and one metric row is
     produced. Read-only on the model.
+
+    Each distinct window (variate, start) is forecast once, at the longest
+    requested horizon that uses it; shorter horizons score its first
+    columns. That is exact: a window's forecast is bitwise independent of
+    the horizon (placeholders are never attention keys) and of its batch
+    (fixed-block GEMMs), so the report equals one run per horizon byte for byte.
     """
-    rows = []
+    plans = []  # every horizon is sized (SizingError) before any forward pass
+    longest: dict[tuple[int, int], int] = {}
     for horizon in horizons:
-        samples = data_io.stride_windows(values, lookback, horizon, stride)
-        contexts = np.stack([s.window.context for s in samples])
-        forecast = forward_batch(state, contexts, horizon)
-        preds = np.stack(
-            [scaler.inverse_variate(forecast.values[i], s.variate) for i, s in enumerate(samples)]
+        keys = [(s.variate, s.start) for s in data_io.stride_windows(values, lookback, horizon, stride)]
+        plans.append((horizon, keys))
+        for key in keys:
+            longest[key] = max(horizon, longest.get(key, 0))
+    forecasts: dict[tuple[int, int], np.ndarray] = {}
+    for horizon, keys in plans:
+        group = [key for key in keys if longest[key] == horizon and key not in forecasts]
+        if group:
+            contexts = np.stack([values[s : s + lookback, k] for k, s in group])
+            forecasts.update(zip(group, forward_batch(state, contexts, horizon).values))
+
+    rows = []
+    for horizon, keys in plans:
+        preds = np.stack([scaler.inverse_variate(forecasts[k, s][:horizon], k) for k, s in keys])
+        actual = np.stack(
+            [scaler.inverse_variate(values[s + lookback : s + lookback + horizon, k], k) for k, s in keys]
         )
-        actual = np.stack([scaler.inverse_variate(s.target, s.variate) for s in samples])
-        rows.append(
-            MetricRow(
-                horizon=horizon,
-                nmae=nmae(actual, preds),
-                nrmse=nrmse(actual, preds),
-                windows=len(samples),
-            )
-        )
+        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(keys)))
     return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id)

@@ -8,8 +8,10 @@ implementation and are worth knowing before touching anything here:
   rows are appended to an operand (more patches for a longer horizon),
   the results for the pre-existing rows do not change at the bit level.
   Every forward matrix product runs as one GEMM call per fixed-size block
-  of ``_ROW_BLOCK`` rows (the last block zero-padded), so each call has
-  the same dimensions however many rows the operand has. Reductions use
+  of rows (the last block zero-padded): ``_WEIGHT_ROW_BLOCK`` rows against
+  a 2-D weight, ``_BATCH_ROW_BLOCK`` rows for the batched attention
+  operands, whose patch grids are short. Each call therefore has the same
+  dimensions however many rows the operand has. Reductions use
   plain ``np.sum``; the model only reduces over axes whose length is fixed
   by the configuration and the lookback (features, context keys), never
   over an axis that grows with the horizon.
@@ -26,7 +28,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
 
-_ROW_BLOCK = 128  # fixed GEMM row-block size; do not vary per call site
+# fixed GEMM row-block sizes, one per operand kind; do not vary per call site
+_WEIGHT_ROW_BLOCK = 128
+_BATCH_ROW_BLOCK = 16
 
 
 class Tensor:
@@ -125,23 +129,23 @@ def backward(loss: Tensor) -> None:
 # fixed-block GEMM
 
 
-def _block_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _block_rows_matmul(a: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
     """(..., M, k) @ (k, n) or (..., k, n), with every GEMM call of fixed dims.
 
-    The M rows are zero-padded to a multiple of ``_ROW_BLOCK`` and split
-    into blocks, and one broadcast ``np.matmul`` makes a (128, k) @ (k, n)
+    The M rows are zero-padded to a multiple of ``block`` and split into
+    blocks, and one broadcast ``np.matmul`` makes a (block, k) @ (k, n)
     call per block. With fixed call dimensions each output row is a pure
     function of its own input row, its place in its block and ``b``, which
     is what makes forward results independent of how many rows follow.
     """
     *lead, m, k = a.shape
-    blocks = -(-m // _ROW_BLOCK)
-    padded = np.zeros((*lead, blocks * _ROW_BLOCK, k))
+    blocks = -(-m // block)
+    padded = np.zeros((*lead, blocks * block, k))
     padded[..., :m, :] = a
-    stacked = padded.reshape(*lead, blocks, _ROW_BLOCK, k)
+    stacked = padded.reshape(*lead, blocks, block, k)
     rhs = b if b.ndim == 2 else b[..., None, :, :]
     out = np.matmul(stacked, rhs)
-    return out.reshape(*lead, blocks * _ROW_BLOCK, b.shape[-1])[..., :m, :]
+    return out.reshape(*lead, blocks * block, b.shape[-1])[..., :m, :]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if k != bd.shape[0]:
             raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
         flat = ad.reshape(-1, k)
-        out = Tensor(_block_rows_matmul(flat, bd).reshape(ad.shape[:-1] + (bd.shape[1],)))
+        out = Tensor(_block_rows_matmul(flat, bd, _WEIGHT_ROW_BLOCK).reshape(ad.shape[:-1] + (bd.shape[1],)))
 
         def backward_fn(g: np.ndarray) -> None:
             gf = g.reshape(-1, bd.shape[1])
@@ -173,7 +177,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {ad.shape} vs {bd.shape}")
-    out = Tensor(_block_rows_matmul(ad, bd))
+    out = Tensor(_block_rows_matmul(ad, bd, _BATCH_ROW_BLOCK))
 
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad:

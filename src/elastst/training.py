@@ -292,6 +292,8 @@ def train(
     fixed_weights = (
         None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)
     )
+    if config.log_path:  # opened before the first step, so an unwritable log fails early
+        write_training_log(config.log_path, log)
 
     for epoch in range(start_epoch + 1, config.epochs + 1):
         rng = _epoch_rng(config.seed, epoch)
@@ -342,22 +344,24 @@ def train(
                 "wall_seconds": time.monotonic() - t0,
             }
         )
+        if config.log_path:
+            write_training_log(config.log_path, log[-1:], mode="a")
         if val_nmae < best:
             best = val_nmae
             best_ckpt = _snapshot(state, m, v, step_count, epoch, best, log)
             if config.checkpoint_path:
                 save_training_checkpoint(config.checkpoint_path, best_ckpt)
 
-    if config.log_path:
-        write_training_log(config.log_path, log)
     best_ckpt.log = log
     return best_ckpt
 
 
-def write_training_log(path, log: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
+def write_training_log(path, log: list[dict], mode: str = "w") -> None:
+    """Write the header and ``log``'s rows (``mode="w"``), or append the rows (``"a"``)."""
+    with open(path, mode, newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_nmae", "val_nrmse", "wall_seconds"])
+        if mode == "w":
+            writer.writerow(["epoch", "train_loss", "val_nmae", "val_nrmse", "wall_seconds"])
         for row in log:
             writer.writerow(
                 [row["epoch"], repr(row["train_loss"]), repr(row["val_nmae"]),

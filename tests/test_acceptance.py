@@ -207,6 +207,7 @@ def training_run(tmp_path_factory):
     return run_training(tmp_path_factory.mktemp("run_a"))
 
 
+@pytest.mark.slow
 def test_criterion_07_training_beats_persistence(training_run):
     report = training_run["report"]
     persistence = training_run["persistence"]
@@ -225,6 +226,7 @@ def test_criterion_07_training_beats_persistence(training_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_reproducibility(training_run, tmp_path_factory):
     rerun = run_training(tmp_path_factory.mktemp("run_b"))
     first, second = training_run["outdir"], rerun["outdir"]

@@ -171,6 +171,9 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "epoch 1" in err and "Traceback" not in err
+        # the log is opened before the first step: the header is there, no epoch finished
+        log_lines = (tmp_path / "log.csv").read_text().splitlines()
+        assert log_lines == ["epoch,train_loss,val_nmae,val_nrmse,wall_seconds"]
 
     def test_missing_dataset_is_a_data_error(self, workspace):
         _, config_path = workspace
@@ -261,6 +264,7 @@ BAD_INPUTS = {
         "evaluate", "--config", str(cfg), "--checkpoint", str(tmp), "--horizons", "8"]),
     "horizon_not_an_integer": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,x")),
     "zero_stride": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8", "--stride", "0")),
+    "horizon_longer_than_split": (3, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8,100000")),
     "zero_batch_size": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batch_size=0")),
     "zero_batches_per_epoch": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batches_per_epoch=0")),
     "negative_epochs": (2, lambda cfg, tmp: _train(cfg, tmp, "train.epochs=-3")),
@@ -280,6 +284,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_unwritable_log_fails_before_training(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path, f"out.log={tmp_path}")) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
 
 
 _THREAD_PROBE = """

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import make_sinusoid_values
 from elastst.backbone import AttentionConfig
+from elastst import evaluation
 from elastst.data_io import Scaler, stride_windows
-from elastst.errors import DimensionError, MetricUndefinedError
+from elastst.errors import DimensionError, MetricUndefinedError, SizingError
 from elastst.evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
 from elastst.model import ElasTSTConfig, ModelState, forward_batch
 from elastst.trope import PeriodSpec
@@ -96,3 +97,68 @@ class TestHarness:
         assert csv_text.splitlines()[1].startswith("8,0.25,0.5,12"[:6])
         table = report.format_table()
         assert "NMAE" in table and "8" in table
+
+
+def per_horizon_eval(state, values, lookback, horizons, scaler, stride=None):
+    """Reference: forecast every horizon's windows separately at that horizon."""
+    rows = []
+    for horizon in horizons:
+        samples = stride_windows(values, lookback, horizon, stride)
+        contexts = np.stack([s.window.context for s in samples])
+        forecast = forward_batch(state, contexts, horizon)
+        preds = np.stack(
+            [scaler.inverse_variate(forecast.values[i], s.variate) for i, s in enumerate(samples)]
+        )
+        actual = np.stack([scaler.inverse_variate(s.target, s.variate) for s in samples])
+        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), len(samples)))
+    return MetricReport(rows=rows)
+
+
+class TestLongestHorizonReuse:
+    """Each distinct window is forecast once, at its longest requested horizon."""
+
+    def setup_method(self):
+        self.values = make_sinusoid_values(n_steps=300, n_variates=2, seed=6)
+        self.scaler = Scaler.fit(self.values[:200])
+        self.split = self.scaler.transform(self.values)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("stride", [None, 1, 6])
+    @pytest.mark.parametrize("horizons", [[8, 16, 40], [40, 4, 16, 4, 9], [12, 12]])
+    def test_report_bytes_equal_per_horizon_loop(self, seed, stride, horizons):
+        state = small_state(seed)
+        want = per_horizon_eval(state, self.split, 16, horizons, self.scaler, stride).to_csv()
+        got = varied_horizon_eval(state, self.split, 16, horizons, self.scaler, stride=stride).to_csv()
+        assert got == want
+
+    def recording_forward(self, monkeypatch):
+        calls = []
+
+        def forward(state, contexts, horizon):
+            calls.append((horizon, contexts.copy()))
+            return forward_batch(state, contexts, horizon)
+
+        monkeypatch.setattr(evaluation, "forward_batch", forward)
+        return calls
+
+    @pytest.mark.parametrize("stride", [None, 5])
+    def test_each_window_forwarded_once_per_longest_horizon(self, monkeypatch, stride):
+        calls = self.recording_forward(monkeypatch)
+        horizons = [16, 4, 40, 9, 16]
+        varied_horizon_eval(small_state(), self.split, 16, horizons, self.scaler, stride=stride)
+        longest = {}
+        for horizon in horizons:
+            for s in stride_windows(self.split, 16, horizon, stride):
+                longest[s.variate, s.start] = max(horizon, longest.get((s.variate, s.start), 0))
+        key_of = {self.split[s : s + 16, k].tobytes(): (k, s) for k, s in longest}
+        assert len(key_of) == len(longest)  # distinct windows have distinct contexts
+        forwarded = [(horizon, key_of[row.tobytes()]) for horizon, contexts in calls for row in contexts]
+        assert sorted(key for _, key in forwarded) == sorted(longest)  # each window exactly once
+        assert all(longest[key] == horizon for horizon, key in forwarded)
+        assert sorted(h for h, _ in calls) == sorted(set(longest.values()))  # one call per longest horizon
+
+    def test_too_long_horizon_fails_before_any_forward(self, monkeypatch):
+        calls = self.recording_forward(monkeypatch)
+        with pytest.raises(SizingError):
+            varied_horizon_eval(small_state(), self.split, 16, [8, 10_000], self.scaler)
+        assert calls == []

@@ -59,19 +59,21 @@ class TestMatmul:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_rows_equal_fixed_block_gemm(self, batched):
-        # reference loop: each row is the row of a (128, k) @ (k, n) GEMM on
-        # its zero-padded block of 128 rows, for either operand kind
+        # reference loop: each row is the row of a (block, k) @ (k, n) GEMM on
+        # its zero-padded block of rows; 128 rows against a 2-D weight, 16
+        # for a batched operand
+        block = 16 if batched else 128
         rng = np.random.default_rng(9)
         lead = (2, 3) if batched else ()
         a = rng.standard_normal(lead + (300, 7))
         b = rng.standard_normal(lead + (7, 5))
         got = nm.matmul(Tensor(a), Tensor(b)).data
-        for i0 in range(0, 300, 128):
-            rows = a[..., i0 : i0 + 128, :]
-            blk = np.zeros(lead + (128, 7))
+        for i0 in range(0, 300, block):
+            rows = a[..., i0 : i0 + block, :]
+            blk = np.zeros(lead + (block, 7))
             blk[..., : rows.shape[-2], :] = rows
             want = np.matmul(blk, b)[..., : rows.shape[-2], :]
-            assert np.array_equal(got[..., i0 : i0 + 128, :], want)
+            assert np.array_equal(got[..., i0 : i0 + block, :], want)
 
     def test_prefix_rows_stable_under_appended_rows(self):
         # appending rows must not change earlier rows' results at the bit level
