@@ -18,7 +18,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .backbone import AttentionConfig, LayerWeights, attention, transformer_block
-from .data_io import Dataset, Scaler, SplitSpec, load_csv, sample_windows, split_and_scale, stride_windows
+from .data_io import Dataset, Scaler, SplitSpec, load_csv, split_and_scale
+from .data_io import sample_windows, stride_windows, window_values
 from .evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
 from .model import (
     ElasTSTConfig,
@@ -31,7 +32,7 @@ from .model import (
     write_checkpoint,
 )
 from .numerics import Graph, Tensor, backward, finite_diff_check
-from .patching import PatchGrid, Window, segment, unpatch
+from .patching import unpatch
 from .training import (
     Checkpoint,
     TrainConfig,

@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
-    FormatError,
     IngestionError,
     MetricUndefinedError,
     ParameterError,
@@ -355,10 +354,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IngestionError, FormatError, SizingError, OSError) as exc:
+    except (IngestionError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (MetricUndefinedError, DimensionError, ContractError, FloatingPointError) as exc:

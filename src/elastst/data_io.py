@@ -5,8 +5,9 @@ The input format is a wide CSV: header row, first column a timestamp
 Rows containing non-finite values are dropped (and counted); unparsable
 cells and non-increasing timestamps are hard errors.
 
-Multivariate series are consumed channel-independently: samplers emit
-univariate windows tagged with their variate index, and all variates
+Multivariate series are consumed channel-independently: a window is a
+(variate, start) pair, samplers emit them as two index arrays, and
+``window_values`` turns them into context and target arrays. All variates
 share the model weights downstream.
 """
 
@@ -16,12 +17,10 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, IngestionError, ParameterError, SizingError
-from .patching import Window
 
 
 @dataclass(frozen=True)
@@ -196,16 +195,11 @@ def split_and_scale(
     )
 
 
-class WindowSample(NamedTuple):
-    window: Window
-    target: np.ndarray  # (T,) ground truth immediately after the context
-    variate: int
-    start: int  # context start index within the split
-
-
 def _check_split(values: np.ndarray, lookback: int, horizon: int) -> None:
     if values.ndim != 2:
         raise ParameterError(f"split values must be (V, K), got shape {values.shape}")
+    if lookback < 1 or horizon < 1:
+        raise ParameterError(f"lookback and horizon must be >= 1, got {lookback} and {horizon}")
     needed = lookback + horizon
     if values.shape[0] < needed:
         raise SizingError(
@@ -221,25 +215,14 @@ def sample_windows(
     count: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-) -> list[WindowSample]:
-    """Uniformly sample univariate (window, target) pairs with replacement."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(variates, starts) of ``count`` windows drawn uniformly with replacement."""
     _check_split(values, lookback, horizon)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     variates = rng.integers(0, values.shape[1], size=count)
     starts = rng.integers(0, values.shape[0] - lookback - horizon + 1, size=count)
-    out = []
-    for k, s in zip(variates, starts):
-        k, s = int(k), int(s)
-        out.append(
-            WindowSample(
-                window=Window(values[s : s + lookback, k], horizon),
-                target=values[s + lookback : s + lookback + horizon, k].copy(),
-                variate=k,
-                start=s,
-            )
-        )
-    return out
+    return variates, starts
 
 
 def stride_windows(
@@ -247,23 +230,32 @@ def stride_windows(
     lookback: int,
     horizon: int,
     stride: int | None = None,
-) -> list[WindowSample]:
-    """Deterministic left-to-right coverage, one variate after another."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(variates, starts) covering the split left to right, one variate after another."""
     _check_split(values, lookback, horizon)
     if stride is None:
         stride = horizon
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
+    starts = np.arange(0, values.shape[0] - lookback - horizon + 1, stride)
+    variates = np.arange(values.shape[1])
+    return np.repeat(variates, len(starts)), np.tile(starts, len(variates))
+
+
+def window_values(
+    values: np.ndarray, variates: np.ndarray, starts: np.ndarray, lookback: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, lookback) contexts and (B, horizon) targets in one gather: the i-th
+    window is variate ``variates[i]`` of the (V, K) split ``values``, its
+    context from step ``starts[i]`` and its target right after. A window
+    outside the split raises ``SizingError``, a non-finite context
+    ``ParameterError``."""
+    _check_split(values, lookback, horizon)
     last_start = values.shape[0] - lookback - horizon
-    out = []
-    for k in range(values.shape[1]):
-        for s in range(0, last_start + 1, stride):
-            out.append(
-                WindowSample(
-                    window=Window(values[s : s + lookback, k], horizon),
-                    target=values[s + lookback : s + lookback + horizon, k].copy(),
-                    variate=k,
-                    start=s,
-                )
-            )
-    return out
+    if np.any((starts < 0) | (starts > last_start) | (variates < 0) | (variates >= values.shape[1])):
+        raise SizingError(f"window starts must lie in [0, {last_start}] and variates in [0, {values.shape[1]})")
+    rows = values[starts[:, None] + np.arange(lookback + horizon), variates[:, None]]
+    contexts, targets = rows[:, :lookback], rows[:, lookback:]
+    if not np.all(np.isfinite(contexts)):
+        raise ParameterError("window context contains non-finite values")
+    return contexts, targets

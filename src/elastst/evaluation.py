@@ -96,25 +96,26 @@ def varied_horizon_eval(
     the horizon (placeholders are never attention keys) and of its batch
     (fixed-block GEMMs), so the report equals one run per horizon byte for byte.
     """
-    plans = []  # every horizon is sized (SizingError) before any forward pass
-    longest: dict[tuple[int, int], int] = {}
-    for horizon in horizons:
-        keys = [(s.variate, s.start) for s in data_io.stride_windows(values, lookback, horizon, stride)]
-        plans.append((horizon, keys))
-        for key in keys:
-            longest[key] = max(horizon, longest.get(key, 0))
+    # every horizon is sized (SizingError) before any forward pass
+    plans = {horizon: data_io.stride_windows(values, lookback, horizon, stride) for horizon in horizons}
+    longest = np.zeros(values.shape[::-1], dtype=np.int64)  # (variate, start) -> longest horizon
+    for horizon, (variates, starts) in plans.items():
+        np.maximum.at(longest, (variates, starts), horizon)
     forecasts: dict[tuple[int, int], np.ndarray] = {}
-    for horizon, keys in plans:
-        group = [key for key in keys if longest[key] == horizon and key not in forecasts]
-        if group:
-            contexts = np.stack([values[s : s + lookback, k] for k, s in group])
-            forecasts.update(zip(group, forward_batch(state, contexts, horizon).values))
+    for horizon, (variates, starts) in plans.items():
+        mine = longest[variates, starts] == horizon
+        if mine.any():
+            variates, starts = variates[mine], starts[mine]
+            contexts, _ = data_io.window_values(values, variates, starts, lookback, horizon)
+            keys = zip(variates.tolist(), starts.tolist())
+            forecasts.update(zip(keys, forward_batch(state, contexts, horizon).values))
 
     rows = []
-    for horizon, keys in plans:
-        preds = np.stack([scaler.inverse_variate(forecasts[k, s][:horizon], k) for k, s in keys])
-        actual = np.stack(
-            [scaler.inverse_variate(values[s + lookback : s + lookback + horizon, k], k) for k, s in keys]
-        )
-        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(keys)))
+    for horizon in horizons:
+        variates, starts = plans[horizon]
+        _, actual = data_io.window_values(values, variates, starts, lookback, horizon)
+        preds = np.stack([forecasts[key][:horizon] for key in zip(variates.tolist(), starts.tolist())])
+        std, mean = scaler.std[variates, None], scaler.mean[variates, None]
+        actual, preds = actual * std + mean, preds * std + mean
+        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(starts)))
     return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id)

@@ -21,7 +21,7 @@ from . import trope
 from .backbone import AttentionConfig, LayerWeights, transformer_block
 from .errors import DimensionError, FormatError, ParameterError
 from .numerics import Tensor
-from .patching import grid_dims, segment_batch
+from .patching import grid_dims, segment_batch, unpatch
 from .trope import PeriodSpec, TunablePeriods, init_periods
 
 CHECKPOINT_MAGIC = "ELASTST-CKPT v1"
@@ -183,8 +183,7 @@ def forward_batch(
         hor = nm.slice_axis(h, 1, n_c, n_c + n_h)
         dec_hidden = nm.gelu(nm.bias_add(nm.matmul(hor, coder.dec_w1), coder.dec_b1))
         dec = nm.bias_add(nm.matmul(dec_hidden, coder.dec_w2), coder.dec_b2)  # (B, n_h, p)
-        series = nm.slice_axis(nm.reshape(dec, (b, n_h * p)), 1, 0, horizon)
-        per_size.append(series)
+        per_size.append(unpatch(dec, horizon))
 
     acc = per_size[0]
     for series in per_size[1:]:

@@ -11,7 +11,10 @@ implementation and are worth knowing before touching anything here:
   of rows (the last block zero-padded): ``_WEIGHT_ROW_BLOCK`` rows against
   a 2-D weight, ``_BATCH_ROW_BLOCK`` rows for the batched attention
   operands, whose patch grids are short. Each call therefore has the same
-  dimensions however many rows the operand has. Reductions use
+  dimensions however many rows the operand has. Fixed dimensions are not
+  enough on their own: a longer horizon shifts a window's rows to other
+  places in their blocks, so this also relies on the BLAS giving a row the
+  same bytes at every place in a block (tested directly). Reductions use
   plain ``np.sum``; the model only reduces over axes whose length is fixed
   by the configuration and the lookback (features, context keys), never
   over an axis that grows with the horizon.
@@ -135,8 +138,9 @@ def _block_rows_matmul(a: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
     The M rows are zero-padded to a multiple of ``block`` and split into
     blocks, and one broadcast ``np.matmul`` makes a (block, k) @ (k, n)
     call per block. With fixed call dimensions each output row is a pure
-    function of its own input row, its place in its block and ``b``, which
-    is what makes forward results independent of how many rows follow.
+    function of its own input row, its place in its block and ``b``; with a
+    BLAS that ignores the place, forward results depend neither on how many
+    rows follow nor on where a row lands.
     """
     *lead, m, k = a.shape
     blocks = -(-m // block)

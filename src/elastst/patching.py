@@ -1,55 +1,21 @@
-"""Windows, patch grids, and the patch/series round trip.
+"""Patch grids and the patch/series round trip.
 
-A forecast request is a context series plus a horizon length. Context and
-horizon are padded and segmented *separately* so that no patch ever mixes
-observed values with placeholder positions: the context is left-padded
-with zeros to a multiple of the patch size, the horizon is materialized
-as zeros and right-padded. Context patches come first and placeholder
-patches after them, so for any horizon length the attention keys, the
-context patches, are exactly the first ``context_patches`` rows.
+A forecast request is a batch of context series plus a horizon length.
+Context and horizon are padded and segmented *separately* so that no
+patch ever mixes observed values with placeholder positions: the context
+is left-padded with zeros to a multiple of the patch size, the horizon is
+materialized as zeros and right-padded. Context patches come first and
+placeholder patches after them, so for any horizon length the attention
+keys, the context patches, are exactly the first ``context_patches`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import numerics as nm
 from .errors import DimensionError, ParameterError
-
-
-@dataclass(frozen=True)
-class Window:
-    """A forecasting task: context values (most recent last) and horizon length."""
-
-    context: np.ndarray
-    horizon_len: int
-
-    def __post_init__(self):
-        ctx = np.asarray(self.context, dtype=np.float64)
-        if ctx.ndim != 1 or ctx.shape[0] < 1:
-            raise ParameterError(f"window context must be a non-empty 1-D series, got shape {ctx.shape}")
-        if not np.all(np.isfinite(ctx)):
-            raise ParameterError("window context contains non-finite values")
-        if self.horizon_len < 1:
-            raise ParameterError(f"horizon length must be >= 1, got {self.horizon_len}")
-        object.__setattr__(self, "context", ctx)
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    """Padded, segmented view of one context+placeholder window."""
-
-    patch_size: int
-    patches: np.ndarray  # (N, P), context patches first
-    left_pad: int
-    right_pad: int
-    context_patches: int
-    horizon_patches: int
-
-    @property
-    def total_patches(self) -> int:
-        return self.context_patches + self.horizon_patches
+from .numerics import Tensor
 
 
 def grid_dims(context_len: int, horizon_len: int, patch_size: int) -> tuple[int, int, int, int]:
@@ -61,19 +27,6 @@ def grid_dims(context_len: int, horizon_len: int, patch_size: int) -> tuple[int,
     return n_c, n_h, n_c * patch_size - context_len, n_h * patch_size - horizon_len
 
 
-def segment(window: Window, patch_size: int) -> PatchGrid:
-    """Segment a window into non-overlapping context and placeholder patches."""
-    n_c, n_h, left_pad, right_pad = grid_dims(window.context.shape[0], window.horizon_len, patch_size)
-    return PatchGrid(
-        patch_size=patch_size,
-        patches=segment_batch(window.context[None, :], window.horizon_len, patch_size)[0],
-        left_pad=left_pad,
-        right_pad=right_pad,
-        context_patches=n_c,
-        horizon_patches=n_h,
-    )
-
-
 def segment_batch(contexts: np.ndarray, horizon_len: int, patch_size: int) -> np.ndarray:
     """(B, L) contexts to (B, N, P) patches: left-padded context patches
     first, placeholder (zero) patches last."""
@@ -83,11 +36,11 @@ def segment_batch(contexts: np.ndarray, horizon_len: int, patch_size: int) -> np
     return np.concatenate([ctx, np.zeros((b, n_h, patch_size))], axis=1)
 
 
-def unpatch(horizon_patch_outputs: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Reassemble horizon patch rows into the first T forecast values."""
-    rows = np.asarray(horizon_patch_outputs, dtype=np.float64)
-    expected = (grid.horizon_patches, grid.patch_size)
-    if rows.shape != expected:
-        raise DimensionError(f"horizon patch outputs must have shape {expected}, got {rows.shape}")
-    horizon_len = grid.horizon_patches * grid.patch_size - grid.right_pad
-    return rows.reshape(-1)[:horizon_len].copy()
+def unpatch(rows: Tensor, horizon_len: int) -> Tensor:
+    """(B, n_h, P) horizon patch rows to the (B, horizon_len) forecast series:
+    the rows concatenated in order, right padding dropped."""
+    shape = rows.data.shape
+    if len(shape) != 3 or grid_dims(0, horizon_len, shape[2])[1] != shape[1]:
+        raise DimensionError(f"horizon patch rows {shape} do not hold a horizon of {horizon_len}")
+    b, n_h, p = shape
+    return nm.slice_axis(nm.reshape(rows, (b, n_h * p)), 1, 0, horizon_len)

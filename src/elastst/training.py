@@ -300,11 +300,12 @@ def train(
         t0 = time.monotonic()
         loss_sum = 0.0
         for _ in range(config.batches_per_epoch):
-            samples = data_io.sample_windows(
+            variates, starts = data_io.sample_windows(
                 data.train_values, lookback, config.t_max, config.batch_size, rng=rng
             )
-            contexts = np.stack([s.window.context for s in samples])
-            targets = np.stack([s.target for s in samples])
+            contexts, targets = data_io.window_values(
+                data.train_values, variates, starts, lookback, config.t_max
+            )
             w = fixed_weights if fixed_weights is not None else reweight_vector(
                 config.t_max, "sampled", rng=rng
             )

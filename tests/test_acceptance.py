@@ -14,7 +14,7 @@ import pytest
 from conftest import make_sinusoid_values
 from elastst import gradcheck
 from elastst.backbone import AttentionConfig
-from elastst.data_io import Scaler, SplitSpec, stride_windows
+from elastst.data_io import Scaler, SplitSpec, stride_windows, window_values
 from elastst.evaluation import nmae, nrmse, varied_horizon_eval
 from elastst.model import (
     ElasTSTConfig,
@@ -23,7 +23,8 @@ from elastst.model import (
     load_model,
     write_checkpoint,
 )
-from elastst.patching import Window, segment, unpatch
+from elastst.numerics import Tensor
+from elastst.patching import grid_dims, unpatch
 from elastst.training import TrainConfig, TrainData, expected_weight_oracle, reweight, train
 from elastst.trope import PeriodSpec, init_periods, relative_score
 
@@ -184,13 +185,11 @@ def run_training(outdir):
 
     persistence = {}
     for horizon in (24, 48, 96):
-        samples = stride_windows(test_split, LOOKBACK, horizon)
-        actual = np.stack([scaler.inverse_variate(s.target, s.variate) for s in samples])
+        variates, starts = stride_windows(test_split, LOOKBACK, horizon)
+        contexts, targets = window_values(test_split, variates, starts, LOOKBACK, horizon)
+        actual = np.stack([scaler.inverse_variate(t, k) for t, k in zip(targets, variates)])
         naive = np.stack(
-            [
-                np.full(horizon, scaler.inverse_variate(s.window.context[-1:], s.variate)[0])
-                for s in samples
-            ]
+            [np.full(horizon, scaler.inverse_variate(c[-1:], k)[0]) for c, k in zip(contexts, variates)]
         )
         persistence[horizon] = nmae(actual, naive)
     return {
@@ -271,13 +270,14 @@ def test_criterion_10_round_trips(tmp_path):
     back = scaler.inverse(scaler.transform(values))
     assert np.max(np.abs(back - values) / np.maximum(np.abs(values), 1e-30)) <= 1e-12
 
-    # patching: a known horizon survives segment -> unpatch unchanged
+    # patching: a known horizon survives patch rows -> unpatch unchanged
     for _ in range(25):
         length = int(rng.integers(1, 60))
         horizon = int(rng.integers(1, 60))
         p = int(rng.integers(1, 16))
-        grid = segment(Window(rng.standard_normal(length), horizon), p)
+        _, n_h, _, right_pad = grid_dims(length, horizon, p)
+        rng.standard_normal(length)  # a context of that length, drawn so the 25 cases stay the same
         truth = rng.standard_normal(horizon)
-        rows = np.concatenate([truth, np.zeros(grid.right_pad)]).reshape(grid.horizon_patches, p)
-        np.testing.assert_array_equal(unpatch(rows, grid), truth)
+        rows = np.concatenate([truth, np.zeros(right_pad)]).reshape(1, n_h, p)
+        np.testing.assert_array_equal(unpatch(Tensor(rows), horizon).data[0], truth)
     print("ACCEPTANCE 10 PASS - checkpoint, scaler, and patching round trips hold")

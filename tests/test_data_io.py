@@ -9,6 +9,7 @@ from elastst.data_io import (
     sample_windows,
     split_and_scale,
     stride_windows,
+    window_values,
 )
 from elastst.errors import FormatError, IngestionError, ParameterError, SizingError
 
@@ -118,33 +119,84 @@ class TestScalerAndSplit:
 class TestWindows:
     def test_stride_covers_exactly_once_when_length_matches(self):
         values = np.arange(24.0).reshape(12, 2)  # 12 steps, 2 variates
-        samples = stride_windows(values, lookback=8, horizon=4, stride=4)
-        assert len(samples) == 2  # one start per variate
-        assert [s.variate for s in samples] == [0, 1]
+        variates, starts = stride_windows(values, lookback=8, horizon=4, stride=4)
+        assert len(starts) == 2  # one start per variate
+        assert variates.tolist() == [0, 1]
+
+    def test_stride_order_is_variate_major_left_to_right(self):
+        values = np.zeros((20, 3))
+        variates, starts = stride_windows(values, lookback=4, horizon=3, stride=5)
+        assert list(zip(variates.tolist(), starts.tolist())) == [
+            (k, s) for k in range(3) for s in (0, 5, 10)
+        ]
 
     def test_alignment_of_target(self):
         values = np.arange(30.0).reshape(15, 2)
-        samples = stride_windows(values, lookback=4, horizon=3, stride=5)
-        for s in samples:
-            assert s.target[0] == values[s.start + 4, s.variate]
-            assert s.window.context[-1] == values[s.start + 3, s.variate]
+        variates, starts = stride_windows(values, lookback=4, horizon=3, stride=5)
+        contexts, targets = window_values(values, variates, starts, 4, 3)
+        for k, s, ctx, target in zip(variates, starts, contexts, targets):
+            assert target[0] == values[s + 4, k]
+            assert ctx[-1] == values[s + 3, k]
 
     def test_sampling_is_reproducible(self):
         values = make_sinusoid_values(n_steps=200, n_variates=3, seed=4)
-        a = sample_windows(values, 16, 8, count=10, seed=42)
-        b = sample_windows(values, 16, 8, count=10, seed=42)
-        for sa, sb in zip(a, b):
-            assert (sa.variate, sa.start) == (sb.variate, sb.start)
-            np.testing.assert_array_equal(sa.window.context, sb.window.context)
+        va, sa = sample_windows(values, 16, 8, count=10, seed=42)
+        vb, sb = sample_windows(values, 16, 8, count=10, seed=42)
+        np.testing.assert_array_equal(va, vb)
+        np.testing.assert_array_equal(sa, sb)
+        np.testing.assert_array_equal(
+            window_values(values, va, sa, 16, 8)[0], window_values(values, vb, sb, 16, 8)[0]
+        )
+
+    def test_sampling_draws_variates_then_starts(self):
+        values = make_sinusoid_values(n_steps=150, n_variates=2, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        variates, starts = sample_windows(values, 12, 6, count=25, seed=7)
+        np.testing.assert_array_equal(variates, rng.integers(0, 2, size=25))
+        np.testing.assert_array_equal(starts, rng.integers(0, 150 - 18 + 1, size=25))
 
     def test_samples_match_source_coordinates(self):
         values = make_sinusoid_values(n_steps=150, n_variates=2, seed=5)
-        for s in sample_windows(values, 12, 6, count=25, seed=7):
-            np.testing.assert_array_equal(s.window.context, values[s.start : s.start + 12, s.variate])
-            np.testing.assert_array_equal(s.target, values[s.start + 12 : s.start + 18, s.variate])
+        variates, starts = sample_windows(values, 12, 6, count=25, seed=7)
+        contexts, targets = window_values(values, variates, starts, 12, 6)
+        assert contexts.shape == (25, 12) and targets.shape == (25, 6)
+        for k, s, ctx, target in zip(variates, starts, contexts, targets):
+            np.testing.assert_array_equal(ctx, values[s : s + 12, k])
+            np.testing.assert_array_equal(target, values[s + 12 : s + 18, k])
 
     def test_too_short_split(self):
         with pytest.raises(SizingError):
             sample_windows(np.zeros((10, 1)), 8, 4, count=1, seed=0)
         with pytest.raises(SizingError):
             stride_windows(np.zeros((10, 1)), 8, 4)
+        with pytest.raises(SizingError):
+            window_values(np.zeros((10, 1)), np.zeros(1, int), np.zeros(1, int), 8, 4)
+
+    def test_window_values_rejects_indices_outside_the_split(self):
+        values = np.arange(20.0).reshape(10, 2)
+        for variates, starts in (([0], [-1]), ([0], [6]), ([-1], [0]), ([2], [0]), ([0, 1], [0, 6])):
+            with pytest.raises(SizingError):
+                window_values(values, np.array(variates), np.array(starts), 3, 2)
+        contexts, targets = window_values(values, np.array([1]), np.array([5]), 3, 2)
+        assert contexts.tolist() == [[11.0, 13.0, 15.0]] and targets.tolist() == [[17.0, 19.0]]
+
+    def test_rejects_zero_horizon(self):
+        with pytest.raises(ParameterError):
+            stride_windows(np.ones((8, 1)), 4, 0)
+        with pytest.raises(ParameterError):
+            window_values(np.ones((8, 1)), np.zeros(1, int), np.zeros(1, int), 4, 0)
+
+    def test_rejects_empty_context(self):
+        with pytest.raises(ParameterError):
+            stride_windows(np.ones((8, 1)), 0, 4)
+        with pytest.raises(ParameterError):
+            window_values(np.ones((8, 1)), np.zeros(1, int), np.zeros(1, int), 0, 4)
+
+    def test_rejects_nan(self):
+        values = np.ones((8, 2))
+        values[1, 1] = np.nan
+        variates, starts = stride_windows(values, 4, 2, stride=1)
+        with pytest.raises(ParameterError):
+            window_values(values, variates, starts, 4, 2)
+        # a non-finite value in the target only is not a context problem
+        window_values(values, np.array([1]), np.array([0]) + 2, 4, 2)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_sinusoid_values
 from elastst.backbone import AttentionConfig
 from elastst import evaluation
-from elastst.data_io import Scaler, stride_windows
+from elastst.data_io import Scaler, stride_windows, window_values
 from elastst.errors import DimensionError, MetricUndefinedError, SizingError
 from elastst.evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
 from elastst.model import ElasTSTConfig, ModelState, forward_batch
@@ -81,8 +81,7 @@ class TestHarness:
     def test_prefix_consistency_across_horizons(self):
         # on identical windows, the first T1 predicted steps under T2 > T1
         # match the T1 run exactly
-        samples = stride_windows(self.split, 16, 32, stride=32)
-        contexts = np.stack([s.window.context for s in samples])
+        contexts, _ = window_values(self.split, *stride_windows(self.split, 16, 32, stride=32), 16, 32)
         short = forward_batch(self.state, contexts, 8).values
         long = forward_batch(self.state, contexts, 32).values
         assert np.array_equal(long[:, :8], short)
@@ -103,14 +102,12 @@ def per_horizon_eval(state, values, lookback, horizons, scaler, stride=None):
     """Reference: forecast every horizon's windows separately at that horizon."""
     rows = []
     for horizon in horizons:
-        samples = stride_windows(values, lookback, horizon, stride)
-        contexts = np.stack([s.window.context for s in samples])
+        variates, starts = stride_windows(values, lookback, horizon, stride)
+        contexts, targets = window_values(values, variates, starts, lookback, horizon)
         forecast = forward_batch(state, contexts, horizon)
-        preds = np.stack(
-            [scaler.inverse_variate(forecast.values[i], s.variate) for i, s in enumerate(samples)]
-        )
-        actual = np.stack([scaler.inverse_variate(s.target, s.variate) for s in samples])
-        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), len(samples)))
+        preds = np.stack([scaler.inverse_variate(f, k) for f, k in zip(forecast.values, variates)])
+        actual = np.stack([scaler.inverse_variate(t, k) for t, k in zip(targets, variates)])
+        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), len(starts)))
     return MetricReport(rows=rows)
 
 
@@ -148,8 +145,8 @@ class TestLongestHorizonReuse:
         varied_horizon_eval(small_state(), self.split, 16, horizons, self.scaler, stride=stride)
         longest = {}
         for horizon in horizons:
-            for s in stride_windows(self.split, 16, horizon, stride):
-                longest[s.variate, s.start] = max(horizon, longest.get((s.variate, s.start), 0))
+            for key in zip(*(a.tolist() for a in stride_windows(self.split, 16, horizon, stride))):
+                longest[key] = max(horizon, longest.get(key, 0))
         key_of = {self.split[s : s + 16, k].tobytes(): (k, s) for k, s in longest}
         assert len(key_of) == len(longest)  # distinct windows have distinct contexts
         forwarded = [(horizon, key_of[row.tobytes()]) for horizon, contexts in calls for row in contexts]

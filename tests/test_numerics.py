@@ -267,3 +267,20 @@ class TestPlatformAssumptions:
             for pad in (1, 7, 64, 1001):
                 ext = np.concatenate([base, rng.uniform(-3, 3, pad)])
                 assert np.array_equal(fn(ext)[:977], fn(base)), fn.__name__
+
+    @pytest.mark.parametrize("block", [nm._BATCH_ROW_BLOCK, nm._WEIGHT_ROW_BLOCK])
+    def test_gemm_row_bytes_do_not_depend_on_block_position(self, block):
+        # a longer horizon shifts a window's rows within their GEMM blocks
+        # (the weight product flattens (B, N) rows), so invariance needs the
+        # BLAS to give a row the same bytes at every position in a block
+        rng = np.random.default_rng(14)
+        for k in (1, 8, 64, 128):
+            for n in (1, 16, 128):
+                b = rng.standard_normal((k, n))
+                row = rng.standard_normal(k)
+                want = nm._block_rows_matmul(row[None, :], b, block)[0]
+                for pos in range(block):
+                    a = rng.standard_normal((block, k))
+                    a[pos] = row
+                    got = nm._block_rows_matmul(a, b, block)[pos]
+                    assert np.array_equal(got, want), (k, n, pos)
