@@ -45,28 +45,46 @@ class AttentionConfig:
             raise ParameterError("d_model and d_ff must be >= 1")
 
 
+def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """A trainable (rows, cols) weight drawn from N(0, 1/rows)."""
+    return Tensor(rng.standard_normal((rows, cols)) / math.sqrt(rows), requires_grad=True)
+
+
+class MLP:
+    """``x @ w1 + b1``, GELU, then ``@ w2 + b2``, applied to the last axis.
+
+    The backbone FFN and every per-patch-size encoder and decoder.
+    """
+
+    def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int):
+        self.w1 = init_weight(rng, d_in, d_hidden)
+        self.b1 = Tensor(np.zeros(d_hidden), requires_grad=True)
+        self.w2 = init_weight(rng, d_hidden, d_out)
+        self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        hidden = nm.gelu(nm.bias_add(nm.matmul(x, self.w1), self.b1))
+        return nm.bias_add(nm.matmul(hidden, self.w2), self.b2)
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
+
+
 class LayerWeights:
     """One encoder layer: per-head q/k/v maps, output projection, norms, FFN."""
 
     def __init__(self, config: AttentionConfig, rng: np.random.Generator):
         d, h, hd = config.d_model, config.n_heads, config.head_dim
-
-        def w(rows, cols, fan_in):
-            return Tensor(rng.standard_normal((rows, cols)) / math.sqrt(fan_in), requires_grad=True)
-
         self.config = config
-        self.wq = [w(d, hd, d) for _ in range(h)]
-        self.wk = [w(d, hd, d) for _ in range(h)]
-        self.wv = [w(d, hd, d) for _ in range(h)]
-        self.wo = w(h * hd, d, h * hd)
+        self.wq = [init_weight(rng, d, hd) for _ in range(h)]
+        self.wk = [init_weight(rng, d, hd) for _ in range(h)]
+        self.wv = [init_weight(rng, d, hd) for _ in range(h)]
+        self.wo = init_weight(rng, h * hd, d)
         self.ln1_gain = Tensor(np.ones(d), requires_grad=True)
         self.ln1_bias = Tensor(np.zeros(d), requires_grad=True)
         self.ln2_gain = Tensor(np.ones(d), requires_grad=True)
         self.ln2_bias = Tensor(np.zeros(d), requires_grad=True)
-        self.ffn_w1 = w(d, config.d_ff, d)
-        self.ffn_b1 = Tensor(np.zeros(config.d_ff), requires_grad=True)
-        self.ffn_w2 = w(config.d_ff, d, config.d_ff)
-        self.ffn_b2 = Tensor(np.zeros(d), requires_grad=True)
+        self.ffn = MLP(rng, d, config.d_ff, d)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = []
@@ -78,12 +96,8 @@ class LayerWeights:
             ("ln1.bias", self.ln1_bias),
             ("ln2.gain", self.ln2_gain),
             ("ln2.bias", self.ln2_bias),
-            ("ffn.w1", self.ffn_w1),
-            ("ffn.b1", self.ffn_b1),
-            ("ffn.w2", self.ffn_w2),
-            ("ffn.b2", self.ffn_b2),
         ]
-        return named
+        return named + [(f"ffn.{n}", t) for n, t in self.ffn.parameters()]
 
 
 def attention(
@@ -135,6 +149,4 @@ def transformer_block(
     mid = nm.add(h, attn_out)
 
     normed2 = nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)
-    hidden = nm.gelu(nm.bias_add(nm.matmul(normed2, weights.ffn_w1), weights.ffn_b1))
-    ffn_out = nm.bias_add(nm.matmul(hidden, weights.ffn_w2), weights.ffn_b2)
-    return nm.add(mid, ffn_out)
+    return nm.add(mid, weights.ffn(normed2))

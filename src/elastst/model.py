@@ -1,24 +1,24 @@
 """The assembled forecaster: per-patch-size coders around a shared backbone.
 
-Each patch size gets its own MLP encoder (patch -> D -> D, GELU hidden)
-and decoder (D -> D -> patch). The transformer backbone and the rotary
-periods are shared across sizes; sizes are processed sequentially and the
-flattened per-size forecasts are averaged into the assembled forecast.
+Each patch size gets its own encoder (patch -> D -> D) and decoder
+(D -> D -> patch), both the GELU ``MLP`` of the backbone FFN. The
+transformer backbone and the rotary periods are shared across sizes;
+sizes are processed sequentially and the flattened per-size forecasts
+are averaged into the assembled forecast.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 """
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
-from . import trope
-from .backbone import AttentionConfig, LayerWeights, transformer_block
+from .backbone import MLP, AttentionConfig, LayerWeights, transformer_block
 from .errors import DimensionError, FormatError, ParameterError
 from .numerics import Tensor
 from .patching import grid_dims, segment_batch, unpatch
@@ -55,33 +55,15 @@ class ElasTSTConfig:
 
 
 class SizeCoder:
-    """Encoder/decoder MLP pair dedicated to one patch size."""
+    """Encoder (patch -> D) and decoder (D -> patch) MLPs for one patch size."""
 
     def __init__(self, patch_size: int, d_model: int, rng: np.random.Generator):
-        def w(rows, cols, fan_in):
-            return Tensor(rng.standard_normal((rows, cols)) / math.sqrt(fan_in), requires_grad=True)
-
-        self.patch_size = patch_size
-        self.enc_w1 = w(patch_size, d_model, patch_size)
-        self.enc_b1 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.enc_w2 = w(d_model, d_model, d_model)
-        self.enc_b2 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.dec_w1 = w(d_model, d_model, d_model)
-        self.dec_b1 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.dec_w2 = w(d_model, patch_size, d_model)
-        self.dec_b2 = Tensor(np.zeros(patch_size), requires_grad=True)
+        self.enc = MLP(rng, patch_size, d_model, d_model)
+        self.dec = MLP(rng, d_model, d_model, patch_size)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("enc.w1", self.enc_w1),
-            ("enc.b1", self.enc_b1),
-            ("enc.w2", self.enc_w2),
-            ("enc.b2", self.enc_b2),
-            ("dec.w1", self.dec_w1),
-            ("dec.b1", self.dec_b1),
-            ("dec.w2", self.dec_w2),
-            ("dec.b2", self.dec_b2),
-        ]
+        named = [(f"enc.{n}", t) for n, t in self.enc.parameters()]
+        return named + [(f"dec.{n}", t) for n, t in self.dec.parameters()]
 
 
 class ModelState:
@@ -176,13 +158,10 @@ def forward_batch(
         n_keys = n_c if use_key_mask else n_c + n_h
 
         coder = state.coders[p]
-        hidden = nm.gelu(nm.bias_add(nm.matmul(patches, coder.enc_w1), coder.enc_b1))
-        h = nm.bias_add(nm.matmul(hidden, coder.enc_w2), coder.enc_b2)
+        h = coder.enc(patches)
         for layer in state.layers:
             h = transformer_block(h, n_keys, state.periods, layer)
-        hor = nm.slice_axis(h, 1, n_c, n_c + n_h)
-        dec_hidden = nm.gelu(nm.bias_add(nm.matmul(hor, coder.dec_w1), coder.dec_b1))
-        dec = nm.bias_add(nm.matmul(dec_hidden, coder.dec_w2), coder.dec_b2)  # (B, n_h, p)
+        dec = coder.dec(nm.slice_axis(h, 1, n_c, n_c + n_h))  # (B, n_h, p)
         per_size.append(unpatch(dec, horizon))
 
     acc = per_size[0]
@@ -283,21 +262,30 @@ def write_checkpoint(
     """Write the checkpoint file.
 
     Model parameters appear in the documented order; any ``extra_arrays``
-    (e.g. optimizer moments) follow after the model block.
+    (e.g. optimizer moments) follow after the model block. The file is
+    written next to ``path`` as ``<name>.tmp`` and then renamed over it, so
+    a failed or interrupted write leaves an existing checkpoint whole.
     """
     echo = _config_echo(state.config)
     echo.update(extra_echo or {})
-    with open(path, "wb") as f:
-        f.write((CHECKPOINT_MAGIC + "\n").encode())
-        for key, value in echo.items():
-            f.write(f"{key}={value}\n".encode())
-        f.write(b"\n")
-        blocks = [(name, t.data) for name, t in state.parameters()]
-        blocks += list(extra_arrays or [])
-        for name, arr in blocks:
-            mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-            f.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n".encode())
-            f.write(mat.astype("<f8").tobytes(order="C"))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write((CHECKPOINT_MAGIC + "\n").encode())
+            for key, value in echo.items():
+                f.write(f"{key}={value}\n".encode())
+            f.write(b"\n")
+            blocks = [(name, t.data) for name, t in state.parameters()]
+            blocks += list(extra_arrays or [])
+            for name, arr in blocks:
+                mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+                f.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n".encode())
+                f.write(mat.astype("<f8").tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_line(path, data: bytes, pos: int, what: str) -> tuple[str, int]:
@@ -311,8 +299,8 @@ def _read_line(path, data: bytes, pos: int, what: str) -> tuple[str, int]:
         raise FormatError(f"{path}: {what} is not valid UTF-8") from None
 
 
-def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[str]]:
-    """Parse a checkpoint into (config echo, arrays by name, name order)."""
+def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Parse a checkpoint into (config echo, arrays by name in file order)."""
     data = Path(path).read_bytes()
     end = data.find(b"\n")
     if end < 0:
@@ -330,7 +318,6 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[s
         key, value = line.split("=", 1)
         echo[key] = value
     arrays: dict[str, np.ndarray] = {}
-    order: list[str] = []
     while pos < len(data):
         header, pos = _read_line(path, data, pos, "parameter header")
         parts = header.rsplit(" ", 2)
@@ -343,8 +330,7 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], list[s
             raise FormatError(f"{path}: truncated data for parameter {name!r}")
         pos += count
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        order.append(name)
-    return echo, arrays, order
+    return echo, arrays
 
 
 def state_from_arrays(
@@ -369,6 +355,6 @@ def state_from_arrays(
 
 
 def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]:
-    echo, arrays, _ = read_checkpoint(path)
-    config = config_from_echo(echo)
-    return state_from_arrays(config, arrays), echo, arrays
+    """The model in a checkpoint, with its config echo and every block by name."""
+    echo, arrays = read_checkpoint(path)
+    return state_from_arrays(config_from_echo(echo), arrays), echo, arrays

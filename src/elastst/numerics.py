@@ -7,10 +7,9 @@ implementation and are worth knowing before touching anything here:
 * Forward evaluation is bitwise deterministic, and *prefix-stable*: when
   rows are appended to an operand (more patches for a longer horizon),
   the results for the pre-existing rows do not change at the bit level.
-  Every forward matrix product runs as one GEMM call per fixed-size block
-  of rows (the last block zero-padded): ``_WEIGHT_ROW_BLOCK`` rows against
-  a 2-D weight, ``_BATCH_ROW_BLOCK`` rows for the batched attention
-  operands, whose patch grids are short. Each call therefore has the same
+  Every forward matrix product, against a 2-D weight or a batched
+  attention operand, runs as one GEMM call per block of 16 rows
+  (``_ROW_BLOCK``; the last block zero-padded). Each call has the same
   dimensions however many rows the operand has. Fixed dimensions are not
   enough on their own: a longer horizon shifts a window's rows to other
   places in their blocks, so this also relies on the BLAS giving a row the
@@ -31,9 +30,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
 
-# fixed GEMM row-block sizes, one per operand kind; do not vary per call site
-_WEIGHT_ROW_BLOCK = 128
-_BATCH_ROW_BLOCK = 16
+# rows per GEMM call for every forward product; do not vary per call site
+_ROW_BLOCK = 16
 
 
 class Tensor:
@@ -132,24 +130,24 @@ def backward(loss: Tensor) -> None:
 # fixed-block GEMM
 
 
-def _block_rows_matmul(a: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
+def _block_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., M, k) @ (k, n) or (..., k, n), with every GEMM call of fixed dims.
 
-    The M rows are zero-padded to a multiple of ``block`` and split into
-    blocks, and one broadcast ``np.matmul`` makes a (block, k) @ (k, n)
-    call per block. With fixed call dimensions each output row is a pure
-    function of its own input row, its place in its block and ``b``; with a
-    BLAS that ignores the place, forward results depend neither on how many
-    rows follow nor on where a row lands.
+    The M rows are zero-padded to a multiple of ``_ROW_BLOCK`` and split
+    into blocks, and one broadcast ``np.matmul`` makes a (``_ROW_BLOCK``, k)
+    @ (k, n) call per block. With fixed call dimensions each output row is a
+    pure function of its own input row, its place in its block and ``b``;
+    with a BLAS that ignores the place, forward results depend neither on
+    how many rows follow nor on where a row lands.
     """
     *lead, m, k = a.shape
-    blocks = -(-m // block)
-    padded = np.zeros((*lead, blocks * block, k))
+    rows = -(-m // _ROW_BLOCK) * _ROW_BLOCK
+    padded = np.zeros((*lead, rows, k))
     padded[..., :m, :] = a
-    stacked = padded.reshape(*lead, blocks, block, k)
+    stacked = padded.reshape(*lead, rows // _ROW_BLOCK, _ROW_BLOCK, k)
     rhs = b if b.ndim == 2 else b[..., None, :, :]
     out = np.matmul(stacked, rhs)
-    return out.reshape(*lead, blocks * block, b.shape[-1])[..., :m, :]
+    return out.reshape(*lead, rows, b.shape[-1])[..., :m, :]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if k != bd.shape[0]:
             raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
         flat = ad.reshape(-1, k)
-        out = Tensor(_block_rows_matmul(flat, bd, _WEIGHT_ROW_BLOCK).reshape(ad.shape[:-1] + (bd.shape[1],)))
+        out = Tensor(_block_rows_matmul(flat, bd).reshape(ad.shape[:-1] + (bd.shape[1],)))
 
         def backward_fn(g: np.ndarray) -> None:
             gf = g.reshape(-1, bd.shape[1])
@@ -181,7 +179,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {ad.shape} vs {bd.shape}")
-    out = Tensor(_block_rows_matmul(ad, bd, _BATCH_ROW_BLOCK))
+    out = Tensor(_block_rows_matmul(ad, bd))
 
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad:

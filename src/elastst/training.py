@@ -32,9 +32,8 @@ from .errors import DimensionError, ParameterError, SizingError
 from .model import (
     ModelState,
     composite_loss,
-    config_from_echo,
     forward_batch,
-    read_checkpoint,
+    load_model,
     state_from_arrays,
     write_checkpoint,
 )
@@ -109,14 +108,12 @@ def reweight(tau: int, t_max: int, mode: str = "log-approx", t_s: int | None = N
 
 def reweight_vector(t_max: int, mode: str = "log-approx", rng: np.random.Generator | None = None) -> np.ndarray:
     """All t_max position weights at once; ``sampled`` draws T_s from ``rng``."""
+    t_s = None
     if mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs a random generator")
         t_s = int(rng.integers(1, t_max + 1))
-        return np.array([reweight(tau, t_max, mode, t_s=t_s) for tau in range(1, t_max + 1)])
-    if mode == "exact-harmonic":
-        return np.array(_harmonic_suffix_weights(t_max))
-    return np.array([reweight(tau, t_max, mode) for tau in range(1, t_max + 1)])
+    return np.array([reweight(tau, t_max, mode, t_s=t_s) for tau in range(1, t_max + 1)])
 
 
 def expected_weight_oracle(
@@ -234,14 +231,13 @@ def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_training_checkpoint(path) -> Checkpoint:
-    echo, arrays, _ = read_checkpoint(path)
-    config = config_from_echo(echo)
+    state, echo, arrays = load_model(path)
 
     def blocks(prefix: str) -> list[np.ndarray]:
-        return [t.data for _, t in state_from_arrays(config, arrays, prefix).parameters()]
+        return [t.data for _, t in state_from_arrays(state.config, arrays, prefix).parameters()]
 
     return Checkpoint(
-        state=state_from_arrays(config, arrays),
+        state=state,
         adam_m=blocks("opt.m."),
         adam_v=blocks("opt.v."),
         step_count=int(echo.get("step_count", "0")),

@@ -127,8 +127,8 @@ class TestTransformerBlock:
         for w in weights.wq + weights.wk + weights.wv:
             w.data[:] = 0.0
         weights.wo.data[:] = 0.0
-        weights.ffn_w1.data[:] = 0.0
-        weights.ffn_w2.data[:] = 0.0
+        weights.ffn.w1.data[:] = 0.0
+        weights.ffn.w2.data[:] = 0.0
         h = rand_h(5, seed=9)
         out = transformer_block(Tensor(h), 3, make_periods(), weights)
         assert np.array_equal(out.data, h)
@@ -144,7 +144,7 @@ class TestTransformerBlock:
             return nm.mse(transformer_block(h, 2, periods, weights), target, ones)
 
         params = [h, periods.log_periods, weights.wq[0], weights.wo,
-                  weights.ln1_gain, weights.ffn_w1, weights.ffn_b2]
+                  weights.ln1_gain, weights.ffn.w1, weights.ffn.b2]
         assert finite_diff_check(f, params, step=1e-5) < 1e-4
 
     def test_stacked_blocks_preserve_masked_non_influence(self):

@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+from elastst import model
 from elastst.backbone import AttentionConfig
 from elastst.errors import FormatError, ParameterError
 from elastst.model import (
@@ -60,8 +63,8 @@ class TestForward:
     def test_zero_decoders_forecast_the_context_mean(self):
         state = ModelState.init(small_config(), seed=0)
         for coder in state.coders.values():
-            coder.dec_w2.data[:] = 0.0
-            coder.dec_b2.data[:] = 0.0
+            coder.dec.w2.data[:] = 0.0
+            coder.dec.b2.data[:] = 0.0
         ctx = np.random.default_rng(1).standard_normal((3, 16))
         fc = forward_batch(state, ctx, 8)
         assert np.array_equal(fc.assembled.data, np.zeros((3, 8)))
@@ -179,11 +182,11 @@ class TestCheckpoint:
         write_checkpoint(path, state, extra_echo={"epoch": "3"}, extra_arrays=[("opt.m.x", np.zeros(2))])
         raw = path.read_bytes()
         assert raw.startswith((CHECKPOINT_MAGIC + "\n").encode())
-        echo, arrays, order = read_checkpoint(path)
+        echo, arrays = read_checkpoint(path)
         assert echo["epoch"] == "3"
         names = [n for n, _ in state.parameters()]
-        assert order == names + ["opt.m.x"]  # model block first, extras after
-        assert order[-2] == "trope.log_periods"  # periods close the model block
+        assert list(arrays) == names + ["opt.m.x"]  # model block first, extras after
+        assert list(arrays)[-2] == "trope.log_periods"  # periods close the model block
         for name, tensor in state.parameters():
             np.testing.assert_array_equal(arrays[name].reshape(tensor.data.shape), tensor.data)
 
@@ -191,7 +194,7 @@ class TestCheckpoint:
         state = ModelState.init(small_config(), seed=13)
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, state)
-        _, arrays, _ = read_checkpoint(path)
+        _, arrays = read_checkpoint(path)
         assert arrays["size4.enc.b1"].shape == (1, 16)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -204,12 +207,42 @@ class TestCheckpoint:
         state = ModelState.init(small_config(), seed=14)
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, state)
-        echo, arrays, _ = read_checkpoint(path)
+        echo, arrays = read_checkpoint(path)
         del arrays["trope.log_periods"]
         from elastst.model import config_from_echo, state_from_arrays
 
         with pytest.raises(FormatError):
             state_from_arrays(config_from_echo(echo), arrays)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, ModelState.init(small_config(), seed=16))
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file whose device is full once half the old checkpoint's bytes are written."""
+
+            def __init__(self, *args):
+                self.f, self.room = open(*args), len(before) // 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.f.write(data)
+
+        monkeypatch.setattr(model, "open", FullDisk, raising=False)
+        with pytest.raises(OSError):
+            write_checkpoint(path, ModelState.init(small_config(), seed=17))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_state_copy_is_independent(self):
         state = ModelState.init(small_config(), seed=15)

@@ -60,9 +60,8 @@ class TestMatmul:
     @pytest.mark.parametrize("batched", [False, True])
     def test_rows_equal_fixed_block_gemm(self, batched):
         # reference loop: each row is the row of a (block, k) @ (k, n) GEMM on
-        # its zero-padded block of rows; 128 rows against a 2-D weight, 16
-        # for a batched operand
-        block = 16 if batched else 128
+        # its zero-padded block of rows, for both operand kinds
+        block = nm._ROW_BLOCK
         rng = np.random.default_rng(9)
         lead = (2, 3) if batched else ()
         a = rng.standard_normal(lead + (300, 7))
@@ -268,19 +267,19 @@ class TestPlatformAssumptions:
                 ext = np.concatenate([base, rng.uniform(-3, 3, pad)])
                 assert np.array_equal(fn(ext)[:977], fn(base)), fn.__name__
 
-    @pytest.mark.parametrize("block", [nm._BATCH_ROW_BLOCK, nm._WEIGHT_ROW_BLOCK])
-    def test_gemm_row_bytes_do_not_depend_on_block_position(self, block):
+    def test_gemm_row_bytes_do_not_depend_on_block_position(self):
         # a longer horizon shifts a window's rows within their GEMM blocks
         # (the weight product flattens (B, N) rows), so invariance needs the
         # BLAS to give a row the same bytes at every position in a block
+        block = nm._ROW_BLOCK
         rng = np.random.default_rng(14)
         for k in (1, 8, 64, 128):
             for n in (1, 16, 128):
                 b = rng.standard_normal((k, n))
                 row = rng.standard_normal(k)
-                want = nm._block_rows_matmul(row[None, :], b, block)[0]
+                want = nm._block_rows_matmul(row[None, :], b)[0]
                 for pos in range(block):
                     a = rng.standard_normal((block, k))
                     a[pos] = row
-                    got = nm._block_rows_matmul(a, b, block)[pos]
+                    got = nm._block_rows_matmul(a, b)[pos]
                     assert np.array_equal(got, want), (k, n, pos)
