@@ -13,6 +13,11 @@ value mix never reduce over an axis that grows with the horizon, and
 every product runs on the fixed-block GEMM of :mod:`numerics`, so
 appending placeholder patches leaves every pre-existing row's output
 bit-identical.
+
+Query rows can start later than key rows (``first_query``): the model's
+last layer runs queries, the value mix, the output projection and the
+FFN for its placeholder rows only, because the decoder reads nothing
+else. Context rows there serve only as keys and values.
 """
 
 from __future__ import annotations
@@ -105,20 +110,25 @@ def attention(
     n_keys: int,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
+    first_query: int = 0,
 ) -> tuple[Tensor, Tensor]:
-    """Multi-head attention of all N rows over the first ``n_keys`` rows.
+    """Multi-head attention of rows ``[first_query, N)`` over the first ``n_keys`` rows.
 
-    ``h`` is (B, N, D). Returns the output (B, N, D) and the attention
-    probabilities (B, heads, N, n_keys).
+    ``h`` is (B, N, D); query row t is rotated at position t. Returns the
+    output (B, N - first_query, D) and the attention probabilities
+    (B, heads, N - first_query, n_keys).
     """
     if h.data.ndim != 3 or not 1 <= n_keys <= h.data.shape[1]:
         raise ContractError(
             f"attention needs (B, N, D) input and 1 <= n_keys <= N, got {h.data.shape} and {n_keys}"
         )
     b, n, _ = h.data.shape
+    if not 0 <= first_query < n:
+        raise ContractError(f"attention needs 0 <= first_query < N = {n}, got {first_query}")
     cfg = weights.config
     hd, heads = cfg.head_dim, cfg.n_heads
     h_keys = nm.slice_axis(h, 1, 0, n_keys)
+    h_queries = nm.slice_axis(h, 1, first_query, n) if first_query else h
 
     def project(x, mats):
         rows = x.data.shape[1]
@@ -126,14 +136,14 @@ def attention(
         split = nm.reshape(stacked, (b, rows, heads, hd))
         return nm.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, hd)
 
-    q = trope.rotate(project(h, weights.wq), np.arange(n), periods)
+    q = trope.rotate(project(h_queries, weights.wq), np.arange(first_query, n), periods)
     k = trope.rotate(project(h_keys, weights.wk), np.arange(n_keys), periods)
     v = project(h_keys, weights.wv)
 
     scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    probs = nm.softmax_lastdim(scores)  # (B, heads, N, n_keys)
-    mixed = nm.matmul(probs, v)  # (B, heads, N, hd)
-    merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (b, n, heads * hd))
+    probs = nm.softmax_lastdim(scores)  # (B, heads, N - first_query, n_keys)
+    mixed = nm.matmul(probs, v)  # (B, heads, N - first_query, hd)
+    merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (b, n - first_query, heads * hd))
     return nm.matmul(merged, weights.wo), probs
 
 
@@ -142,11 +152,17 @@ def transformer_block(
     n_keys: int,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
+    first_query: int = 0,
 ) -> Tensor:
-    """Pre-norm residual block on (B, N, D): x + Attn(LN(x)), then x + FFN(LN(x))."""
+    """Pre-norm residual block on (B, N, D): x + Attn(LN(x)), then x + FFN(LN(x)).
+
+    Returns rows ``[first_query, N)`` only; keys and values still come
+    from the first ``n_keys`` rows.
+    """
     normed = nm.layer_norm(h, weights.ln1_gain, weights.ln1_bias)
-    attn_out, _ = attention(normed, n_keys, periods, weights)
-    mid = nm.add(h, attn_out)
+    attn_out, _ = attention(normed, n_keys, periods, weights, first_query)
+    rows = nm.slice_axis(h, 1, first_query, h.data.shape[1]) if first_query else h
+    mid = nm.add(rows, attn_out)
 
     normed2 = nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)
     return nm.add(mid, weights.ffn(normed2))

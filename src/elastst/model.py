@@ -159,10 +159,11 @@ def forward_batch(
 
         coder = state.coders[p]
         h = coder.enc(patches)
-        for layer in state.layers:
+        for layer in state.layers[:-1]:
             h = transformer_block(h, n_keys, state.periods, layer)
-        dec = coder.dec(nm.slice_axis(h, 1, n_c, n_c + n_h))  # (B, n_h, p)
-        per_size.append(unpatch(dec, horizon))
+        # the decoder reads placeholder rows only, so the last layer computes no others
+        h = transformer_block(h, n_keys, state.periods, state.layers[-1], first_query=n_c)
+        per_size.append(unpatch(coder.dec(h), horizon))  # dec: (B, n_h, p)
 
     acc = per_size[0]
     for series in per_size[1:]:

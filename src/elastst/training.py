@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import data_io, evaluation
-from .errors import DimensionError, ParameterError, SizingError
+from .errors import DimensionError, FormatError, ParameterError, SizingError
 from .model import (
     ModelState,
     composite_loss,
@@ -230,19 +230,29 @@ def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
     write_checkpoint(path, ckpt.state, extra_echo=echo, extra_arrays=extra)
 
 
-def load_training_checkpoint(path) -> Checkpoint:
+def load_training_checkpoint(path, log_path=None) -> Checkpoint:
+    """The training state in ``path``. With ``log_path``, the rows of that
+    training log up to the checkpoint's epoch become ``Checkpoint.log``, so
+    a resumed run writes the whole log again."""
     state, echo, arrays = load_model(path)
 
     def blocks(prefix: str) -> list[np.ndarray]:
         return [t.data for _, t in state_from_arrays(state.config, arrays, prefix).parameters()]
 
+    epoch = int(echo.get("epoch", "0"))
+    log = []
+    if log_path is not None:
+        log = [row for row in read_training_log(log_path) if row["epoch"] <= epoch]
+        if [row["epoch"] for row in log] != list(range(1, epoch + 1)):
+            raise FormatError(f"{log_path}: does not hold one row for each epoch 1..{epoch}")
     return Checkpoint(
         state=state,
         adam_m=blocks("opt.m."),
         adam_v=blocks("opt.v."),
         step_count=int(echo.get("step_count", "0")),
-        epoch=int(echo.get("epoch", "0")),
+        epoch=epoch,
         best_val_nmae=float(echo.get("best_val_nmae", "inf")),
+        log=log,
     )
 
 
@@ -257,8 +267,9 @@ def train(
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
     NMAE at ``t_max`` drives best-checkpoint retention. A non-finite step
-    loss or validation NMAE raises ``FloatingPointError``; the checkpoint
-    file then still holds the last (finite) best.
+    loss, gradient or validation NMAE raises ``FloatingPointError`` before
+    the update; the parameters keep their values and the checkpoint file
+    still holds the last (finite) best.
     """
     lookback = state.config.lookback
     needed = lookback + config.t_max
@@ -282,7 +293,7 @@ def train(
         start_epoch = 0
         best = math.inf
 
-    params = [t for _, t in state.parameters()]
+    names, params = zip(*state.parameters())
     log: list[dict] = list(resume.log) if resume is not None else []
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best, log)
     fixed_weights = (
@@ -321,6 +332,11 @@ def train(
                 )
             backward(loss)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            for name, g in zip(names, grads):
+                if not np.all(np.isfinite(g)):
+                    raise FloatingPointError(
+                        f"gradient of {name} is not finite at epoch {epoch}, step {step_count}"
+                    )
             adam_step(
                 [p.data for p in params], grads, m, v, config.learning_rate, step_count=step_count
             )
@@ -353,12 +369,27 @@ def train(
     return best_ckpt
 
 
+LOG_COLUMNS = ("epoch", "train_loss", "val_nmae", "val_nrmse", "wall_seconds")
+
+
+def read_training_log(path) -> list[dict]:
+    """The rows of a log written by ``write_training_log``; floats round-trip exactly."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f)) or [[]]
+    if tuple(header) != LOG_COLUMNS:
+        raise FormatError(f"{path}: not a training log, its header is not {','.join(LOG_COLUMNS)}")
+    try:
+        return [dict(zip(LOG_COLUMNS, [int(row[0]), *map(float, row[1:])], strict=True)) for row in rows]
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed training log row: {exc}") from None
+
+
 def write_training_log(path, log: list[dict], mode: str = "w") -> None:
     """Write the header and ``log``'s rows (``mode="w"``), or append the rows (``"a"``)."""
     with open(path, mode, newline="") as f:
         writer = csv.writer(f)
         if mode == "w":
-            writer.writerow(["epoch", "train_loss", "val_nmae", "val_nrmse", "wall_seconds"])
+            writer.writerow(LOG_COLUMNS)
         for row in log:
             writer.writerow(
                 [row["epoch"], repr(row["train_loss"]), repr(row["val_nmae"]),

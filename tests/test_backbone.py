@@ -71,6 +71,22 @@ class TestMaskedAttention:
         with pytest.raises(ContractError):
             attention(h, 4, make_periods(), make_weights())
 
+    @pytest.mark.parametrize("first_query", [-1, 3, 4])
+    def test_first_query_outside_the_rows_rejected(self, first_query):
+        with pytest.raises(ContractError):
+            attention(Tensor(rand_h(3)), 2, make_periods(), make_weights(), first_query)
+
+    def test_later_queries_are_the_matching_rows_of_all_queries(self):
+        weights = make_weights(seed=19)
+        periods = make_periods()
+        h = Tensor(np.concatenate([rand_h(6, seed=20), rand_h(6, seed=21)]))
+        out_all, probs_all = attention(h, 4, periods, weights)
+        out_late, probs_late = attention(h, 4, periods, weights, first_query=4)
+        assert out_late.data.shape == (2, 2, CFG.d_model)
+        assert probs_late.data.shape == (2, CFG.n_heads, 2, 4)
+        assert np.array_equal(out_late.data, out_all.data[:, 4:])
+        assert np.array_equal(probs_late.data, probs_all.data[:, :, 4:])
+
     def test_unbatched_input_rejected(self):
         with pytest.raises(ContractError):
             attention(Tensor(rand_h(3)[0]), 2, make_periods(), make_weights())
@@ -133,15 +149,17 @@ class TestTransformerBlock:
         out = transformer_block(Tensor(h), 3, make_periods(), weights)
         assert np.array_equal(out.data, h)
 
-    def test_gradient_check(self):
+    @pytest.mark.parametrize("first_query", [0, 2])
+    def test_gradient_check(self, first_query):
         weights = make_weights(seed=10)
         periods = make_periods()
         h = Tensor(np.random.default_rng(11).uniform(-1, 1, (1, 3, CFG.d_model)), requires_grad=True)
-        target = Tensor(np.random.default_rng(12).uniform(-1, 1, (1, 3, CFG.d_model)))
-        ones = Tensor(np.ones((1, 3, CFG.d_model)))
+        out_shape = (1, 3 - first_query, CFG.d_model)
+        target = Tensor(np.random.default_rng(12).uniform(-1, 1, out_shape))
+        ones = Tensor(np.ones(out_shape))
 
         def f():
-            return nm.mse(transformer_block(h, 2, periods, weights), target, ones)
+            return nm.mse(transformer_block(h, 2, periods, weights, first_query), target, ones)
 
         params = [h, periods.log_periods, weights.wq[0], weights.wo,
                   weights.ln1_gain, weights.ffn.w1, weights.ffn.b2]

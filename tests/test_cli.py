@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_sinusoid_values, write_csv
+from elastst import training
 from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, main, model_config
 from elastst.errors import ConfigError
@@ -174,6 +175,30 @@ class TestEndToEnd:
         # the log is opened before the first step: the header is there, no epoch finished
         log_lines = (tmp_path / "log.csv").read_text().splitlines()
         assert log_lines == ["epoch,train_loss,val_nmae,val_nrmse,wall_seconds"]
+
+    def test_non_finite_gradient_is_a_numeric_failure(self, workspace, tmp_path, capsys, monkeypatch):
+        real_forward, real_backward = training.forward_batch, training.backward
+        seen = {}
+
+        def forward(state, *args, **kwargs):
+            seen["state"] = state
+            return real_forward(state, *args, **kwargs)
+
+        def backward(loss):
+            real_backward(loss)
+            seen["state"].layers[0].wo.grad[0, 0] = float("nan")
+
+        monkeypatch.setattr(training, "forward_batch", forward)
+        monkeypatch.setattr(training, "backward", backward)
+        _, config_path = workspace
+        args = ["train", "--config", str(config_path),
+                "--set", f"out.checkpoint={tmp_path / 'model.ckpt'}"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "numeric failure: gradient of backbone.0.wo is not finite at epoch 1, step 1"
+        ]
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_missing_dataset_is_a_data_error(self, workspace):
         _, config_path = workspace

@@ -6,6 +6,16 @@ the forward values at short and long horizons with both key modes, the
 H=96 composite loss and every parameter gradient, the checkpoint and
 training log of a short CLI run, and a varied-horizon evaluation report.
 
+``GRADIENTS`` was re-recorded when the last encoder layer stopped
+computing its context rows (they are keys and values there, never
+queries). Every forward value, the loss and the other digests kept their
+bytes. Seven gradient blocks moved by at most 9.7e-16 relative: the last
+layer's ``wq`` (each head), ``wo``, ``ffn.w1`` and ``ffn.w2``. Their
+X^T·G products now sum over the placeholder rows alone; the dropped
+context rows added exact zeros, but the BLAS splits the shorter sum
+differently. ``test_gradient_change_is_confined_to_the_last_layer``
+pins that scope.
+
 The digests were taken with numpy 2.4 on OpenBLAS 0.3.31, one BLAS
 thread. Another BLAS, or another version of this one, may give other
 bytes for the same GEMM calls; on such a machine these digests do not
@@ -17,6 +27,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import elastst.backbone as backbone
+import elastst.model as model
+import elastst.numerics as nm
 from conftest import make_sinusoid_values, write_csv
 from elastst.backbone import AttentionConfig
 from elastst.cli import main
@@ -40,7 +53,7 @@ FORWARD = {
     (1024, False): "ff822e0b6b8bfcfdd994bbb9bca64a3ff8649edee4efb29dba8d28c0f1f71dce",
 }
 LOSS = "427ebaf9dfe80a312656da9e4a3e5a51ffd1183d41f1af3f3c95aab160426bc0"
-GRADIENTS = "6e220fc07a219ed8fdd422a7d5e3a1accccaaae4f457034814b33599d6b17661"
+GRADIENTS = "f5145b4323ddeccb0be85e5f4a2fd739c3bbba45da775cd15698c4e4a174381f"
 CLI_CHECKPOINT = "463d9fe003b1fceb6ee3cb321b5b832d16c859476294fb0e44e092c6367fd0a8"
 CLI_LOG = "05a8029f564491e2699efe01395348135ef4be714cace7b97c6cbf52d25a76f8"
 EVALUATION = "dd74cd92a09c1bd0bc5e72f498868398f22107798a331e42e976dc27aebab917"
@@ -75,14 +88,52 @@ def test_forward_values(state, contexts, horizon, use_key_mask):
     assert sha256(values) == FORWARD[horizon, use_key_mask]
 
 
-def test_loss_and_every_gradient(state, contexts):
+def forward_loss_and_gradients(state, contexts):
+    """H=96 forward values, composite loss and every gradient by name."""
     targets = np.random.default_rng(np.random.SeedSequence(1)).standard_normal((32, 96))
     weights = np.broadcast_to(reweight_vector(96) / 32, targets.shape)
+    for _, p in state.parameters():
+        p.grad = None
     with Graph():
-        loss = composite_loss(forward_batch(state, contexts, 96), targets, weights)
+        forecast = forward_batch(state, contexts, 96)
+        loss = composite_loss(forecast, targets, weights)
     backward(loss)
-    assert sha256(loss.data) == LOSS
-    assert sha256(*[chunk for name, p in state.parameters() for chunk in (name.encode(), p.grad)]) == GRADIENTS
+    grads = {name: p.grad for name, p in state.parameters()}
+    for _, p in state.parameters():
+        p.grad = None
+    return forecast.values, loss.data, grads
+
+
+def test_loss_and_every_gradient(state, contexts):
+    _, loss, grads = forward_loss_and_gradients(state, contexts)
+    assert sha256(loss) == LOSS
+    assert sha256(*[chunk for name, g in grads.items() for chunk in (name.encode(), g)]) == GRADIENTS
+
+
+def test_gradient_change_is_confined_to_the_last_layer(state, contexts, monkeypatch):
+    """Against a last layer that computes every row and then slices (the
+    arithmetic before queries started at the first placeholder row), only
+    the last layer's query-side weight gradients may move, and only by
+    rounding."""
+    values, loss, grads = forward_loss_and_gradients(state, contexts)
+
+    def every_row_then_slice(h, n_keys, periods, weights, first_query=0):
+        out = backbone.transformer_block(h, n_keys, periods, weights)
+        return nm.slice_axis(out, 1, first_query, h.data.shape[1])
+
+    monkeypatch.setattr(model, "transformer_block", every_row_then_slice)
+    old_values, old_loss, old_grads = forward_loss_and_gradients(state, contexts)
+    assert sha256(values) == sha256(old_values)
+    assert sha256(loss) == sha256(old_loss)
+
+    last = len(state.layers) - 1
+    heads = state.config.attention.n_heads
+    moved = {f"backbone.{last}.{n}" for n in ["wo", "ffn.w1", "ffn.w2"] + [f"head{i}.wq" for i in range(heads)]}
+    for name, g in grads.items():
+        if name in moved:
+            assert np.max(np.abs(g - old_grads[name])) <= 1e-14 * np.max(np.abs(old_grads[name])), name
+        else:
+            assert sha256(g) == sha256(old_grads[name]), name
 
 
 def test_cli_training_run(tmp_path):

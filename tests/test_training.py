@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_sinusoid_values
+from elastst import training
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
 from elastst.errors import FormatError, ParameterError, SizingError
@@ -206,6 +208,65 @@ class TestTrain:
         train(state_half, data, cfg_resumed, resume=first)
         for (_, a), b in zip(first.state.parameters(), full_params):
             np.testing.assert_array_equal(a.data, b)
+
+    def test_resume_rewrites_the_whole_log(self, tmp_path):
+        def without_wall_seconds(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        straight_log = tmp_path / "straight.csv"
+        state, data, cfg = tiny_setup(epochs=3, seed=5)
+        train(state, data, dataclasses.replace(cfg, log_path=str(straight_log)))
+
+        ckpt_path, log_path = tmp_path / "best.ckpt", tmp_path / "resumed.csv"
+        state, data, cfg = tiny_setup(epochs=1, seed=5, checkpoint_path=ckpt_path)
+        cfg = dataclasses.replace(cfg, log_path=str(log_path))
+        train(state, data, cfg)
+        resume = load_training_checkpoint(ckpt_path, log_path)
+        assert [row["epoch"] for row in resume.log] == [1]
+        train(resume.state, data, dataclasses.replace(cfg, epochs=3), resume=resume)
+        assert len(without_wall_seconds(log_path)) == 4
+        assert without_wall_seconds(log_path) == without_wall_seconds(straight_log)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (lambda lines: lines[:1], "one row for each epoch 1..1"),
+            (lambda lines: lines[1:], "header"),
+            (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]], "malformed"),
+            (lambda lines: [], "header"),
+        ],
+    )
+    def test_resume_log_must_hold_every_epoch_up_to_the_checkpoint(self, tmp_path, keep, message):
+        ckpt_path, log_path = tmp_path / "best.ckpt", tmp_path / "log.csv"
+        state, data, cfg = tiny_setup(epochs=1, checkpoint_path=ckpt_path)
+        train(state, data, dataclasses.replace(cfg, log_path=str(log_path)))
+        log_path.write_text("".join(line + "\n" for line in keep(log_path.read_text().splitlines())))
+        with pytest.raises(FormatError) as err:
+            load_training_checkpoint(ckpt_path, log_path)
+        assert message in str(err.value)
+
+    def test_non_finite_gradient_stops_the_step(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        state, data, cfg = tiny_setup(epochs=2, checkpoint_path=path)
+        real_backward = training.backward
+        seen = {"calls": 0}
+
+        def poisoned(loss):
+            real_backward(loss)
+            seen["calls"] += 1
+            if seen["calls"] == cfg.batches_per_epoch + 2:  # epoch 2, step 6
+                seen["params"] = [t.data.copy() for _, t in state.parameters()]
+                seen["checkpoint"] = path.read_bytes()
+                state.layers[0].wo.grad[0, 0] = np.nan
+                state.periods.log_periods.grad[0] = np.inf
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(FloatingPointError) as err:
+            train(state, data, cfg)
+        assert str(err.value) == "gradient of backbone.0.wo is not finite at epoch 2, step 6"
+        for (_, t), before in zip(state.parameters(), seen["params"]):
+            np.testing.assert_array_equal(t.data, before)
+        assert path.read_bytes() == seen["checkpoint"]
 
     def test_checkpoint_file_round_trip(self, tmp_path):
         path = tmp_path / "best.ckpt"
