@@ -230,29 +230,21 @@ def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
     write_checkpoint(path, ckpt.state, extra_echo=echo, extra_arrays=extra)
 
 
-def load_training_checkpoint(path, log_path=None) -> Checkpoint:
-    """The training state in ``path``. With ``log_path``, the rows of that
-    training log up to the checkpoint's epoch become ``Checkpoint.log``, so
-    a resumed run writes the whole log again."""
+def load_training_checkpoint(path) -> Checkpoint:
+    """The training state in ``path``. Its ``log`` is empty: a resumed
+    ``train`` reads the earlier rows back from its ``log_path``."""
     state, echo, arrays = load_model(path)
 
     def blocks(prefix: str) -> list[np.ndarray]:
         return [t.data for _, t in state_from_arrays(state.config, arrays, prefix).parameters()]
 
-    epoch = int(echo.get("epoch", "0"))
-    log = []
-    if log_path is not None:
-        log = [row for row in read_training_log(log_path) if row["epoch"] <= epoch]
-        if [row["epoch"] for row in log] != list(range(1, epoch + 1)):
-            raise FormatError(f"{log_path}: does not hold one row for each epoch 1..{epoch}")
     return Checkpoint(
         state=state,
         adam_m=blocks("opt.m."),
         adam_v=blocks("opt.v."),
         step_count=int(echo.get("step_count", "0")),
-        epoch=epoch,
+        epoch=int(echo.get("epoch", "0")),
         best_val_nmae=float(echo.get("best_val_nmae", "inf")),
-        log=log,
     )
 
 
@@ -267,9 +259,14 @@ def train(
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
     NMAE at ``t_max`` drives best-checkpoint retention. A non-finite step
-    loss, gradient or validation NMAE raises ``FloatingPointError`` before
-    the update; the parameters keep their values and the checkpoint file
+    loss or gradient raises ``FloatingPointError`` before the Adam update,
+    so the parameters keep their values; a non-finite validation NMAE
+    raises it after the epoch's updates. Either way the checkpoint file
     still holds the last (finite) best.
+
+    On ``resume``, the log keeps the rows for epochs up to the checkpoint:
+    with ``config.log_path`` they are read back from that log, which must
+    hold one row for each of them, and it is then rewritten whole.
     """
     lookback = state.config.lookback
     needed = lookback + config.t_max
@@ -286,15 +283,22 @@ def train(
         step_count = resume.step_count
         start_epoch = resume.epoch
         best = resume.best_val_nmae
+        log = [row for row in resume.log if row["epoch"] <= start_epoch]
+        if config.log_path:
+            log = [row for row in read_training_log(config.log_path) if row["epoch"] <= start_epoch]
+            if [row["epoch"] for row in log] != list(range(1, start_epoch + 1)):
+                raise FormatError(
+                    f"{config.log_path}: does not hold one row for each epoch 1..{start_epoch}"
+                )
     else:
         m = [np.zeros_like(t.data) for _, t in state.parameters()]
         v = [np.zeros_like(t.data) for _, t in state.parameters()]
         step_count = 0
         start_epoch = 0
         best = math.inf
+        log = []
 
     names, params = zip(*state.parameters())
-    log: list[dict] = list(resume.log) if resume is not None else []
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best, log)
     fixed_weights = (
         None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)

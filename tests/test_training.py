@@ -221,8 +221,7 @@ class TestTrain:
         state, data, cfg = tiny_setup(epochs=1, seed=5, checkpoint_path=ckpt_path)
         cfg = dataclasses.replace(cfg, log_path=str(log_path))
         train(state, data, cfg)
-        resume = load_training_checkpoint(ckpt_path, log_path)
-        assert [row["epoch"] for row in resume.log] == [1]
+        resume = load_training_checkpoint(ckpt_path)
         train(resume.state, data, dataclasses.replace(cfg, epochs=3), resume=resume)
         assert len(without_wall_seconds(log_path)) == 4
         assert without_wall_seconds(log_path) == without_wall_seconds(straight_log)
@@ -239,11 +238,15 @@ class TestTrain:
     def test_resume_log_must_hold_every_epoch_up_to_the_checkpoint(self, tmp_path, keep, message):
         ckpt_path, log_path = tmp_path / "best.ckpt", tmp_path / "log.csv"
         state, data, cfg = tiny_setup(epochs=1, checkpoint_path=ckpt_path)
-        train(state, data, dataclasses.replace(cfg, log_path=str(log_path)))
+        cfg = dataclasses.replace(cfg, log_path=str(log_path))
+        train(state, data, cfg)
         log_path.write_text("".join(line + "\n" for line in keep(log_path.read_text().splitlines())))
+        damaged = log_path.read_bytes()
+        resume = load_training_checkpoint(ckpt_path)
         with pytest.raises(FormatError) as err:
-            load_training_checkpoint(ckpt_path, log_path)
+            train(resume.state, data, dataclasses.replace(cfg, epochs=2), resume=resume)
         assert message in str(err.value)
+        assert log_path.read_bytes() == damaged  # rejected before the log is rewritten
 
     def test_non_finite_gradient_stops_the_step(self, tmp_path, monkeypatch):
         path = tmp_path / "best.ckpt"
