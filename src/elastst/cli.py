@@ -262,9 +262,9 @@ def cmd_forecast(args) -> int:
     lookback = state.config.lookback
     idx = _resolve_at(ds, args.at, lookback)
     k = _resolve_variate(ds, args.variate)
-    context = scaler.transform_variate(ds.values[idx - lookback + 1 : idx + 1, k], k)
+    context = scaler.transform(ds.values[idx - lookback + 1 : idx + 1, k], k)
     forecast = forward_batch(state, context[None, :], args.horizon)
-    values = scaler.inverse_variate(forecast.values[0], k)
+    values = scaler.inverse(forecast.values[0], k)
     lines = ["step,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(values)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -363,3 +363,7 @@ def main(argv=None) -> int:
     except (MetricUndefinedError, DimensionError, ContractError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+
+
+if __name__ == "__main__":
+    sys.exit(main())

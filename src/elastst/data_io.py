@@ -1,9 +1,11 @@
 """CSV ingestion, contiguous time splits, standardization, window sampling.
 
-The input format is a wide CSV: header row, first column a timestamp
-(ISO-8601 or plain integer index), one column per variate after that.
-Rows containing non-finite values are dropped (and counted); unparsable
-cells and non-increasing timestamps are hard errors.
+The input format is a wide CSV: header row, first column a timestamp (all
+integer indices, or all ISO-8601 and either all naive or all offset-aware),
+one column per variate after that. ``load_csv`` reads the whole table and
+checks one kind of defect at a time, reporting the first row of the first
+kind that fails: cell counts, unparsable cells, then the timestamps of the
+rows kept after dropping (and counting) those with a non-finite value.
 
 Multivariate series are consumed channel-independently: a window is a
 (variate, start) pair, samplers emit them as two index arrays, and
@@ -54,63 +56,60 @@ def _timestamp_key(raw: str, row: int):
         ) from None
 
 
-def _csv_rows(f, path: Path):
-    try:
-        yield from csv.reader(f)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def load_csv(path) -> Dataset:
     """Load a wide CSV into a Dataset, dropping non-finite rows."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = _csv_rows(f, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise FormatError(f"{path}: need a timestamp column plus at least one variate")
-        columns = tuple(c.strip() for c in header[1:])
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            table = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not table:
+        raise FormatError(f"{path}: empty file")
+    header = table[0]
+    if len(header) < 2:
+        raise FormatError(f"{path}: need a timestamp column plus at least one variate")
+    columns = tuple(c.strip() for c in header[1:])
+    rows = [(i, cells) for i, cells in enumerate(table[1:], start=2) if cells]  # 1-based file rows
 
-        timestamps: list[str] = []
-        keys: list = []
-        rows: list[list[float]] = []
-        dropped = 0
-        for i, cells in enumerate(reader, start=2):  # 1-based file rows; row 1 is the header
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
-            parsed = []
+    for i, cells in rows:
+        if len(cells) != len(header):
+            raise FormatError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
+    try:
+        values = np.array([cells[1:] for _, cells in rows], dtype=np.float64).reshape(len(rows), len(columns))
+    except ValueError:  # numpy parses strings as float() does; name the first bad cell
+        for i, cells in rows:
             for name, cell in zip(columns, cells[1:]):
                 try:
-                    parsed.append(float(cell))
+                    float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
                     ) from None
-            if not all(np.isfinite(parsed)):
-                dropped += 1
-                continue
-            key = _timestamp_key(cells[0], i)
-            if keys and not key > keys[-1]:
-                raise IngestionError(
-                    f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly"
-                )
-            keys.append(key)
-            timestamps.append(cells[0].strip())
-            rows.append(parsed)
-
-    if not rows:
+        raise
+    kept = np.flatnonzero(np.isfinite(values).all(axis=1))
+    if not len(kept):
         raise IngestionError(f"{path}: no usable data rows")
+    kept_rows = [rows[j] for j in kept.tolist()]
+    previous = None
+    for i, cells in kept_rows:
+        key = _timestamp_key(cells[0], i)
+        try:
+            increases = previous is None or key > previous
+        except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
+            raise IngestionError(
+                f"{path}: row {i}: timestamp {cells[0]!r} is not of the same kind as the rows above"
+            ) from None
+        if not increases:
+            raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
+        previous = key
+
     return Dataset(
         name=path.stem,
-        timestamps=tuple(timestamps),
-        values=np.array(rows, dtype=np.float64),
+        timestamps=tuple(cells[0].strip() for _, cells in kept_rows),
+        values=values[kept],
         columns=columns,
-        dropped_rows=dropped,
+        dropped_rows=len(values) - len(kept),
     )
 
 
@@ -128,17 +127,12 @@ class Scaler:
     def fit(cls, values: np.ndarray) -> "Scaler":
         return cls(values.mean(axis=0), values.std(axis=0))
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
+    # ``k`` picks the variates by index: all of them, one (an int) or an array that broadcasts
+    def transform(self, values: np.ndarray, k=slice(None)) -> np.ndarray:
+        return (values - self.mean[k]) / self.std[k]
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
-    def transform_variate(self, series: np.ndarray, k: int) -> np.ndarray:
-        return (series - self.mean[k]) / self.std[k]
-
-    def inverse_variate(self, series: np.ndarray, k: int) -> np.ndarray:
-        return series * self.std[k] + self.mean[k]
+    def inverse(self, values: np.ndarray, k=slice(None)) -> np.ndarray:
+        return values * self.std[k] + self.mean[k]
 
 
 @dataclass(frozen=True)
@@ -213,13 +207,10 @@ def sample_windows(
     lookback: int,
     horizon: int,
     count: int,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(variates, starts) of ``count`` windows drawn uniformly with replacement."""
     _check_split(values, lookback, horizon)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
     variates = rng.integers(0, values.shape[1], size=count)
     starts = rng.integers(0, values.shape[0] - lookback - horizon + 1, size=count)
     return variates, starts

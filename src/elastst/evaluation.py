@@ -115,7 +115,6 @@ def varied_horizon_eval(
         variates, starts = plans[horizon]
         _, actual = data_io.window_values(values, variates, starts, lookback, horizon)
         preds = np.stack([forecasts[key][:horizon] for key in zip(variates.tolist(), starts.tolist())])
-        std, mean = scaler.std[variates, None], scaler.mean[variates, None]
-        actual, preds = actual * std + mean, preds * std + mean
+        actual, preds = scaler.inverse(actual, variates[:, None]), scaler.inverse(preds, variates[:, None])
         rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(starts)))
     return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id)

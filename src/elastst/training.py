@@ -262,7 +262,8 @@ def train(
     loss or gradient raises ``FloatingPointError`` before the Adam update,
     so the parameters keep their values; a non-finite validation NMAE
     raises it after the epoch's updates. Either way the checkpoint file
-    still holds the last (finite) best.
+    still holds the last (finite) best. Nothing else stops training: a run
+    that diverges to huge but finite losses runs every epoch and returns.
 
     On ``resume``, the log keeps the rows for epochs up to the checkpoint:
     with ``config.log_path`` they are read back from that log, which must

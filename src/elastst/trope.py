@@ -30,8 +30,8 @@ class PeriodSpec:
     head_dim: int
 
     def __post_init__(self):
-        if not (0.0 < self.p_min < self.p_max):
-            raise ParameterError(f"need 0 < p_min < p_max, got {self.p_min}, {self.p_max}")
+        if not (0.0 < self.p_min < self.p_max < math.inf):
+            raise ParameterError(f"need 0 < p_min < p_max < inf, got {self.p_min}, {self.p_max}")
         if self.head_dim < 4 or self.head_dim % 2 != 0:
             raise ParameterError(f"head_dim must be even and >= 4, got {self.head_dim}")
 

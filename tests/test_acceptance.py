@@ -187,9 +187,9 @@ def run_training(outdir):
     for horizon in (24, 48, 96):
         variates, starts = stride_windows(test_split, LOOKBACK, horizon)
         contexts, targets = window_values(test_split, variates, starts, LOOKBACK, horizon)
-        actual = np.stack([scaler.inverse_variate(t, k) for t, k in zip(targets, variates)])
+        actual = np.stack([scaler.inverse(t, k) for t, k in zip(targets, variates)])
         naive = np.stack(
-            [np.full(horizon, scaler.inverse_variate(c[-1:], k)[0]) for c, k in zip(contexts, variates)]
+            [np.full(horizon, scaler.inverse(c[-1:], k)[0]) for c, k in zip(contexts, variates)]
         )
         persistence[horizon] = nmae(actual, naive)
     return {

@@ -273,6 +273,8 @@ def _file(tmp_path, name, data: bytes) -> str:
 
 NOT_UTF8_CSV = b"ts,v0\n0,1.0\xff\n"
 HUGE_FIELD_CSV = b"ts,v0\n0," + b"1" * 200_000 + b"\n"  # the csv module's field limit is 131072
+INTEGER_THEN_ISO_CSV = b"ts,v0\n1,1.0\n2020-01-01,2.0\n"
+NAIVE_THEN_AWARE_CSV = b"ts,v0\n2020-01-01T00:00,1.0\n2020-01-01T01:00+00:00,2.0\n"
 
 # case -> (exit code, argv built from the workspace config path and a scratch directory)
 BAD_INPUTS = {
@@ -280,6 +282,10 @@ BAD_INPUTS = {
         cfg, tmp, f"data.path={_file(tmp, 'bad.csv', NOT_UTF8_CSV)}")),
     "csv_field_too_large": (3, lambda cfg, tmp: _train(
         cfg, tmp, f"data.path={_file(tmp, 'big.csv', HUGE_FIELD_CSV)}")),
+    "csv_mixed_integer_and_iso_timestamps": (3, lambda cfg, tmp: _train(
+        cfg, tmp, f"data.path={_file(tmp, 'mixed.csv', INTEGER_THEN_ISO_CSV)}")),
+    "csv_naive_and_aware_timestamps": (3, lambda cfg, tmp: _train(
+        cfg, tmp, f"data.path={_file(tmp, 'zones.csv', NAIVE_THEN_AWARE_CSV)}")),
     "config_not_utf8": (2, lambda cfg, tmp: [
         "train", "--config", _file(tmp, "bad.cfg", cfg.read_bytes() + b"# \xff\n")]),
     "config_is_a_directory": (2, lambda cfg, tmp: ["train", "--config", str(tmp)]),
@@ -295,6 +301,7 @@ BAD_INPUTS = {
     "negative_epochs": (2, lambda cfg, tmp: _train(cfg, tmp, "train.epochs=-3")),
     "nan_learning_rate": (2, lambda cfg, tmp: _train(cfg, tmp, "train.lr=nan")),
     "nan_split_fraction": (2, lambda cfg, tmp: _train(cfg, tmp, "data.split=0.7,0.15,nan")),
+    "infinite_rotary_period": (2, lambda cfg, tmp: _train(cfg, tmp, "trope.p_max=inf")),
 }
 
 
@@ -336,6 +343,20 @@ module, attr = re.search(r'^elastst = "([\\w.]+):(\\w+)"', text, re.M).groups()
 getattr(importlib.import_module(module), attr)
 print(json.dumps(NumpyImportProbe.seen))
 """
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_command(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "elastst.cli", "train"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "configuration error: missing required configuration key 'data.path'"
+        ]
 
 
 class TestThreadPin:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
 from elastst.data_io import (
@@ -59,6 +63,24 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert ds.dropped_rows == 2
         assert ds.values[:, 0].tolist() == [1.0, 4.0]
+
+    @pytest.mark.parametrize("first, second", [("1", "2020-01-01"), ("2020-01-01T00:00", "2020-01-01T01:00+00:00")])
+    def test_mixed_timestamp_kinds_name_the_row(self, tmp_path, first, second):
+        path = tmp_path / "mixed.csv"
+        path.write_text(f"ts,x\n{first},1.0\n{second},2.0\n")
+        with pytest.raises(IngestionError, match="row 3: timestamp .* is not of the same kind"):
+            load_csv(path)
+
+    def test_checks_run_one_kind_at_a_time(self, tmp_path):
+        # counts, then numbers, then finiteness, then timestamps: the first
+        # failing kind of check reports its first row, wherever the others are
+        path = tmp_path / "two.csv"
+        path.write_text("ts,a\n2,1.0\n1,2.0\n3,oops\n")
+        with pytest.raises(IngestionError, match="row 4, column 'a'"):
+            load_csv(path)
+        path.write_text("ts,a\n1,oops\n2,2.0,3.0\n")
+        with pytest.raises(FormatError, match="row 3 has 3 cells"):
+            load_csv(path)
 
 
 class TestScalerAndSplit:
@@ -140,8 +162,8 @@ class TestWindows:
 
     def test_sampling_is_reproducible(self):
         values = make_sinusoid_values(n_steps=200, n_variates=3, seed=4)
-        va, sa = sample_windows(values, 16, 8, count=10, seed=42)
-        vb, sb = sample_windows(values, 16, 8, count=10, seed=42)
+        va, sa = sample_windows(values, 16, 8, count=10, rng=np.random.default_rng(42))
+        vb, sb = sample_windows(values, 16, 8, count=10, rng=np.random.default_rng(42))
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_array_equal(sa, sb)
         np.testing.assert_array_equal(
@@ -151,13 +173,13 @@ class TestWindows:
     def test_sampling_draws_variates_then_starts(self):
         values = make_sinusoid_values(n_steps=150, n_variates=2, seed=5)
         rng = np.random.default_rng(np.random.SeedSequence(7))
-        variates, starts = sample_windows(values, 12, 6, count=25, seed=7)
+        variates, starts = sample_windows(values, 12, 6, count=25, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(variates, rng.integers(0, 2, size=25))
         np.testing.assert_array_equal(starts, rng.integers(0, 150 - 18 + 1, size=25))
 
     def test_samples_match_source_coordinates(self):
         values = make_sinusoid_values(n_steps=150, n_variates=2, seed=5)
-        variates, starts = sample_windows(values, 12, 6, count=25, seed=7)
+        variates, starts = sample_windows(values, 12, 6, count=25, rng=np.random.default_rng(7))
         contexts, targets = window_values(values, variates, starts, 12, 6)
         assert contexts.shape == (25, 12) and targets.shape == (25, 6)
         for k, s, ctx, target in zip(variates, starts, contexts, targets):
@@ -166,7 +188,7 @@ class TestWindows:
 
     def test_too_short_split(self):
         with pytest.raises(SizingError):
-            sample_windows(np.zeros((10, 1)), 8, 4, count=1, seed=0)
+            sample_windows(np.zeros((10, 1)), 8, 4, count=1, rng=np.random.default_rng(0))
         with pytest.raises(SizingError):
             stride_windows(np.zeros((10, 1)), 8, 4)
         with pytest.raises(SizingError):
@@ -200,3 +222,65 @@ class TestWindows:
             window_values(values, variates, starts, 4, 2)
         # a non-finite value in the target only is not a context problem
         window_values(values, np.array([1]), np.array([0]) + 2, 4, 2)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-(10**7), 10**7).map(lambda n: f"{n:_}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.integers(0, 999), st.sampled_from("eE"), st.integers(-330, 330)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]:+d}"
+    ),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "1e400", ".5", "5.", "4e-324"]),
+)
+_TOKENS = st.sampled_from(["", "oops", "1..2", "1__0", "_1", "0x1f", "1e", "--1", "n/a", "1 2"])
+_SPELLINGS = st.tuples(st.sampled_from(["", " ", "\t"]), _NUMBERS, st.sampled_from(["", " "])).map("".join)
+
+
+@st.composite
+def wide_tables(draw):
+    """(width, rows of cells): every cell a number spelling, or in half the
+    tables some unparsable tokens too."""
+    width = draw(st.integers(1, 4))
+    cell = _SPELLINGS if draw(st.booleans()) else st.one_of(_SPELLINGS, _TOKENS)
+    return width, draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8))
+
+
+def _float_oracle(rows, columns):
+    """Cell-by-cell float(): the first bad (row, column), or the kept values,
+    timestamps and dropped-row count."""
+    kept, timestamps = [], []
+    for i, cells in enumerate(rows, start=2):
+        parsed = []
+        for name, cell in zip(columns, cells[1:]):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                return (i, name), None
+        if all(math.isfinite(x) for x in parsed):
+            kept.append(parsed)
+            timestamps.append(cells[0].strip())
+    return None, (kept, timestamps, len(rows) - len(kept))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_tables())
+@example((2, [["1_000", " nan"], ["1e-320", "2"]]))
+def test_load_csv_matches_a_float_oracle(tmp_path_factory, table):
+    width, cells = table
+    columns = tuple(f"c{k}" for k in range(width))
+    rows = [[f" {i} "] + row for i, row in enumerate(cells)]
+    path = tmp_path_factory.mktemp("oracle") / "wide.csv"
+    path.write_text("\n".join([",".join(("ts",) + columns)] + [",".join(r) for r in rows]) + "\n")
+    bad, want = _float_oracle(rows, columns)
+    if bad is not None:
+        with pytest.raises(IngestionError, match=f"row {bad[0]}, column {bad[1]!r}:"):
+            load_csv(path)
+        return
+    kept, timestamps, dropped = want
+    if not kept:
+        with pytest.raises(IngestionError, match="no usable data rows"):
+            load_csv(path)
+        return
+    ds = load_csv(path)
+    assert ds.columns == columns and ds.timestamps == tuple(timestamps) and ds.dropped_rows == dropped
+    np.testing.assert_array_equal(ds.values.view(np.uint64), np.array(kept).view(np.uint64))

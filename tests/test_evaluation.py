@@ -105,8 +105,8 @@ def per_horizon_eval(state, values, lookback, horizons, scaler, stride=None):
         variates, starts = stride_windows(values, lookback, horizon, stride)
         contexts, targets = window_values(values, variates, starts, lookback, horizon)
         forecast = forward_batch(state, contexts, horizon)
-        preds = np.stack([scaler.inverse_variate(f, k) for f, k in zip(forecast.values, variates)])
-        actual = np.stack([scaler.inverse_variate(t, k) for t, k in zip(targets, variates)])
+        preds = np.stack([scaler.inverse(f, k) for f, k in zip(forecast.values, variates)])
+        actual = np.stack([scaler.inverse(t, k) for t, k in zip(targets, variates)])
         rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), len(starts)))
     return MetricReport(rows=rows)
 
