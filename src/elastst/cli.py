@@ -2,7 +2,9 @@
 
 Configuration is a flat key=value file (one pair per line, ``#`` comments)
 merged with repeated ``--set key=value`` overrides; overrides win. Unknown
-keys are rejected. Exit codes: 0 ok, 2 configuration error, 3 data error,
+keys are rejected. ``train`` builds the model from the configuration;
+``evaluate`` and ``forecast`` take it from the checkpoint and read only the
+``data.*`` keys. Exit codes: 0 ok, 2 configuration error, 3 data error,
 4 numeric failure.
 """
 
@@ -162,14 +164,40 @@ def train_config(config: dict) -> training.TrainConfig:
 
 
 def _load_splits(config: dict):
+    """The dataset, its three standardized splits and the scaler fit on the
+    train split. No split is sized here beyond holding a row: each command
+    sizes the splits it reads, for the lookback and horizons it uses."""
     ds = data_io.load_csv(_require(config, "data.path"))
     split = config["data.split"]
     if len(split) != 3:
         raise ConfigError(f"data.split needs three fractions, got {split}")
-    spec = data_io.SplitSpec(*split)
-    min_len = config["model.lookback"] + config["train.t_max"]
-    train_v, val_v, test_v, scaler = data_io.split_and_scale(ds, spec, min_len=min_len)
+    train_v, val_v, test_v, scaler = data_io.split_and_scale(ds, data_io.SplitSpec(*split), min_len=1)
     return ds, train_v, val_v, test_v, scaler
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _resolve(text: str, names: tuple[str, ...], what: str, key=str) -> int:
+    """The position ``text`` picks in ``names``: the name equal to it (by
+    ``key``), else ``text`` read as an index in [-n, n), negative counting
+    from the end. Anything else is a data error."""
+    keys = [key(name) for name in names]
+    if key(text) in keys:
+        return keys.index(key(text))
+    n = len(names)
+    try:
+        index = int(text)
+    except ValueError:
+        index = n
+    if not -n <= index < n:
+        raise IngestionError(f"{what} {text!r} is not in the data, nor an index in [-{n}, {n})")
+    return index % n
 
 
 def cmd_train(args) -> int:
@@ -209,47 +237,10 @@ def cmd_evaluate(args) -> int:
         dataset=ds.name,
         checkpoint_id=str(checkpoint_path),
     )
+    _emit(report.to_csv(), args.out)
     if args.out:
-        Path(args.out).write_text(report.to_csv(), encoding="utf-8")
         print(report.format_table())
-    else:
-        sys.stdout.write(report.to_csv())
     return 0
-
-
-def _resolve_at(ds: data_io.Dataset, at: str | None, lookback: int) -> int:
-    if at is None:
-        idx = ds.n_steps - 1
-    else:
-        try:
-            idx = int(at)
-            if idx < 0:
-                idx += ds.n_steps
-        except ValueError:
-            try:
-                idx = ds.timestamps.index(at)
-            except ValueError:
-                raise IngestionError(f"--at {at!r} matches no timestamp in the dataset") from None
-    if idx >= ds.n_steps:
-        raise SizingError(f"--at index {idx} is beyond the last row {ds.n_steps - 1}")
-    if idx < lookback - 1:
-        raise SizingError(
-            f"--at index {idx} leaves only {idx + 1} context steps, lookback needs {lookback}"
-        )
-    return idx
-
-
-def _resolve_variate(ds: data_io.Dataset, variate: str) -> int:
-    try:
-        k = int(variate)
-    except ValueError:
-        try:
-            return ds.columns.index(variate)
-        except ValueError:
-            raise IngestionError(f"--variate {variate!r} matches no column") from None
-    if not 0 <= k < ds.n_variates:
-        raise SizingError(f"--variate index {k} out of range for {ds.n_variates} variates")
-    return k
 
 
 def cmd_forecast(args) -> int:
@@ -260,17 +251,17 @@ def cmd_forecast(args) -> int:
     state, _, _ = load_model(checkpoint_path)
     ds, *_, scaler = _load_splits(config)
     lookback = state.config.lookback
-    idx = _resolve_at(ds, args.at, lookback)
-    k = _resolve_variate(ds, args.variate)
+    idx = ds.n_steps - 1
+    if args.at is not None:
+        idx = _resolve(args.at, ds.timestamps, "timestamp", data_io.timestamp_key)
+    if idx < lookback - 1:
+        raise SizingError(f"--at row {idx} leaves {idx + 1} context steps, the model's lookback is {lookback}")
+    k = _resolve(args.variate, ds.columns, "column")
     context = scaler.transform(ds.values[idx - lookback + 1 : idx + 1, k], k)
     forecast = forward_batch(state, context[None, :], args.horizon)
     values = scaler.inverse(forecast.values[0], k)
     lines = ["step,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(values)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -288,57 +279,46 @@ def cmd_gradcheck(args) -> int:
 def cmd_inspect_periods(args) -> int:
     state, _, _ = load_model(args.checkpoint)
     lines = ["j,period"] + [f"{j + 1},{float(p)!r}" for j, p in enumerate(state.periods.periods())]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", help="override one configuration key"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    layout = dict(formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_config_help())
     parser = argparse.ArgumentParser(
-        prog="elastst",
-        description="Train-once, forecast-any-horizon time-series transformer.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=_config_help(),
+        prog="elastst", description="Train-once, forecast-any-horizon time-series transformer.", **layout
     )
+    common = argparse.ArgumentParser(add_help=False)  # the configuration, whose keys --help lists
+    common.add_argument("--config", help="flat key=value configuration file")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
+    configured = dict(parents=[common], **layout)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model and write checkpoint + log",
-                       formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_config_help())
-    _add_common(p)
+    p = sub.add_parser("train", help="train a model and write checkpoint + log", **configured)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="varied-horizon evaluation on the test split",
-                       formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_config_help())
-    _add_common(p)
+    p = sub.add_parser("evaluate", help="varied-horizon evaluation on the test split", **configured)
     p.add_argument("--checkpoint", help="checkpoint path (default: out.checkpoint)")
     p.add_argument("--horizons", default="96,192,336,720,1024", help="comma-separated horizons")
     p.add_argument("--stride", type=int, default=None, help="window stride (default: horizon)")
     p.add_argument("--out", help="write the CSV report here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("forecast", help="single-window forecast as CSV (step,value)",
-                       formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_config_help())
-    _add_common(p)
+    p = sub.add_parser("forecast", help="single-window forecast as CSV (step,value)", **configured)
     p.add_argument("--checkpoint", help="checkpoint path (default: out.checkpoint)")
     p.add_argument("--horizon", type=int, required=True, help="forecast steps (>= 1)")
-    p.add_argument("--at", help="timestamp or row index of the last context point (default: last row)")
-    p.add_argument("--variate", default="0", help="variate column name or index (default: 0)")
+    p.add_argument(
+        "--at",
+        help="last context point: a timestamp, matched by value (2016-07-01 matches 2016-07-01 00:00:00), "
+        "else a row index, negative from the end (default: last row)",
+    )
+    p.add_argument(
+        "--variate", default="0", help="column name, else a column index, negative from the end (default: 0)"
+    )
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model",
-                       formatter_class=argparse.RawDescriptionHelpFormatter, epilog=_config_help())
-    _add_common(p)
+    p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model", **configured)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect-periods", help="dump learned rotary periods as CSV (j,period)")

@@ -42,8 +42,11 @@ class Dataset:
         return self.values.shape[1]
 
 
-def _timestamp_key(raw: str, row: int):
-    text = raw.strip()
+def timestamp_key(text: str):
+    """The value a timestamp is ordered and matched by: an int for an integer
+    index, a datetime for ISO-8601 (``2016-07-02``, ``2016-07-02T00:00`` and
+    ``2016-07-02 00:00:00`` are one value), None for anything else."""
+    text = text.strip()
     try:
         return int(text)
     except ValueError:
@@ -51,9 +54,7 @@ def _timestamp_key(raw: str, row: int):
     try:
         return datetime.fromisoformat(text)
     except ValueError:
-        raise IngestionError(
-            f"row {row}: timestamp {raw!r} is neither an integer index nor ISO-8601"
-        ) from None
+        return None
 
 
 def load_csv(path) -> Dataset:
@@ -93,7 +94,11 @@ def load_csv(path) -> Dataset:
     kept_rows = [rows[j] for j in kept.tolist()]
     previous = None
     for i, cells in kept_rows:
-        key = _timestamp_key(cells[0], i)
+        key = timestamp_key(cells[0])
+        if key is None:
+            raise IngestionError(
+                f"row {i}: timestamp {cells[0]!r} is neither an integer index nor ISO-8601"
+            )
         try:
             increases = previous is None or key > previous
         except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
@@ -189,7 +194,9 @@ def split_and_scale(
     )
 
 
-def _check_split(values: np.ndarray, lookback: int, horizon: int) -> None:
+def check_split(values: np.ndarray, lookback: int, horizon: int, what: str = "split") -> None:
+    """The one sizing rule: a window of ``values``, a (V, K) split named
+    ``what`` in the message, needs ``lookback + horizon`` steps."""
     if values.ndim != 2:
         raise ParameterError(f"split values must be (V, K), got shape {values.shape}")
     if lookback < 1 or horizon < 1:
@@ -197,7 +204,7 @@ def _check_split(values: np.ndarray, lookback: int, horizon: int) -> None:
     needed = lookback + horizon
     if values.shape[0] < needed:
         raise SizingError(
-            f"split has {values.shape[0]} steps, needs lookback + horizon = {needed} "
+            f"{what} has {values.shape[0]} steps, needs lookback + horizon = {needed} "
             f"(short by {needed - values.shape[0]})"
         )
 
@@ -210,7 +217,7 @@ def sample_windows(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(variates, starts) of ``count`` windows drawn uniformly with replacement."""
-    _check_split(values, lookback, horizon)
+    check_split(values, lookback, horizon)
     variates = rng.integers(0, values.shape[1], size=count)
     starts = rng.integers(0, values.shape[0] - lookback - horizon + 1, size=count)
     return variates, starts
@@ -223,7 +230,7 @@ def stride_windows(
     stride: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(variates, starts) covering the split left to right, one variate after another."""
-    _check_split(values, lookback, horizon)
+    check_split(values, lookback, horizon)
     if stride is None:
         stride = horizon
     if stride < 1:
@@ -241,7 +248,7 @@ def window_values(
     context from step ``starts[i]`` and its target right after. A window
     outside the split raises ``SizingError``, a non-finite context
     ``ParameterError``."""
-    _check_split(values, lookback, horizon)
+    check_split(values, lookback, horizon)
     last_start = values.shape[0] - lookback - horizon
     if np.any((starts < 0) | (starts > last_start) | (variates < 0) | (variates >= values.shape[1])):
         raise SizingError(f"window starts must lie in [0, {last_start}] and variates in [0, {values.shape[1]})")

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import data_io, evaluation
-from .errors import DimensionError, FormatError, ParameterError, SizingError
+from .errors import DimensionError, FormatError, ParameterError
 from .model import (
     ModelState,
     composite_loss,
@@ -256,6 +256,9 @@ def train(
 ) -> Checkpoint:
     """Train in place and return the best-validation checkpoint.
 
+    Both splits are sized first: each needs ``lookback + t_max`` steps, or
+    ``SizingError`` is raised before the log is opened or a step is run.
+
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
     NMAE at ``t_max`` drives best-checkpoint retention. A non-finite step
@@ -270,12 +273,8 @@ def train(
     hold one row for each of them, and it is then rewritten whole.
     """
     lookback = state.config.lookback
-    needed = lookback + config.t_max
-    if data.train_values.shape[0] < needed:
-        raise SizingError(
-            f"training split has {data.train_values.shape[0]} steps, "
-            f"needs at least lookback + t_max = {needed}"
-        )
+    data_io.check_split(data.train_values, lookback, config.t_max, "train split")
+    data_io.check_split(data.val_values, lookback, config.t_max, "validation split")
 
     if resume is not None:
         state = resume.state

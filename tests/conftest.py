@@ -27,8 +27,9 @@ def make_sinusoid_values(n_steps=6000, n_variates=4, seed=0, noise=0.1):
     return np.stack(columns, axis=1)
 
 
-def write_csv(path, values, timestamps=None):
-    lines = ["ts," + ",".join(f"v{k}" for k in range(values.shape[1]))]
+def write_csv(path, values, timestamps=None, columns=None):
+    columns = columns or [f"v{k}" for k in range(values.shape[1])]
+    lines = ["ts," + ",".join(columns)]
     for i, row in enumerate(values):
         ts = str(i) if timestamps is None else timestamps[i]
         lines.append(ts + "," + ",".join(repr(float(x)) for x in row))

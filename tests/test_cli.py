@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from conftest import make_sinusoid_values, write_csv
 from elastst import training
 from elastst.backbone import AttentionConfig
-from elastst.cli import build_config, main, model_config
+from elastst.cli import build_config, build_parser, main, model_config
 from elastst.errors import ConfigError
 from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
 from elastst.trope import PeriodSpec
@@ -75,8 +77,6 @@ class TestConfigHandling:
 
 class TestDefaults:
     def test_evaluate_accepts_the_standard_horizon_grid(self):
-        from elastst.cli import build_parser
-
         args = build_parser().parse_args(["evaluate"])
         assert args.horizons == "96,192,336,720,1024"
 
@@ -258,11 +258,21 @@ def _train(config_path, tmp_path, *settings):
     return args
 
 
-def _evaluate(config_path, tmp_path, *extra):
+def _checkpoint(config_path, tmp_path) -> str:
+    """An untrained model of the config's shape, written once per scratch directory."""
     checkpoint = tmp_path / "model.ckpt"
-    state = ModelState.init(model_config(build_config(str(config_path), [])), seed=0)
-    write_checkpoint(checkpoint, state)
-    return ["evaluate", "--config", str(config_path), "--checkpoint", str(checkpoint), *extra]
+    if not checkpoint.exists():
+        write_checkpoint(checkpoint, ModelState.init(model_config(build_config(str(config_path), [])), seed=0))
+    return str(checkpoint)
+
+
+def _evaluate(config_path, tmp_path, *extra):
+    return ["evaluate", "--config", str(config_path), "--checkpoint", _checkpoint(config_path, tmp_path), *extra]
+
+
+def _forecast(config_path, tmp_path, *extra):
+    return ["forecast", "--config", str(config_path), "--checkpoint", _checkpoint(config_path, tmp_path),
+            "--horizon", "6", *extra]
 
 
 def _file(tmp_path, name, data: bytes) -> str:
@@ -296,6 +306,12 @@ BAD_INPUTS = {
     "horizon_not_an_integer": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,x")),
     "zero_stride": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8", "--stride", "0")),
     "horizon_longer_than_split": (3, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8,100000")),
+    "at_matches_no_timestamp": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--at", "2999-01-01")),
+    "at_beyond_the_last_row": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--at", "400")),
+    "at_leaves_less_than_the_lookback": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--at", "14")),
+    "variate_matches_no_column": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--variate", "v9")),
+    "variate_index_out_of_range": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--variate", "-3")),
+    "train_split_empty": (3, lambda cfg, tmp: _forecast(cfg, tmp, "--set", "data.split=0.001,0.5,0.499")),
     "zero_batch_size": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batch_size=0")),
     "zero_batches_per_epoch": (2, lambda cfg, tmp: _train(cfg, tmp, "train.batches_per_epoch=0")),
     "negative_epochs": (2, lambda cfg, tmp: _train(cfg, tmp, "train.epochs=-3")),
@@ -324,6 +340,77 @@ class TestBadInput:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
+
+
+def _output(capsys, argv) -> str:
+    assert main(argv) == 0, capsys.readouterr().err
+    return capsys.readouterr().out
+
+
+class TestEachCommandSizesWhatItReads:
+    """The checkpoint decides the model; evaluate and forecast read only the
+    data keys, and train sizes only its train and validation splits."""
+
+    def test_evaluate_and_forecast_ignore_train_t_max(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        lines = config_path.read_text(encoding="utf-8").splitlines()
+        unset = tmp_path / "no_t_max.cfg"  # the default t_max, 720, does not fit the 400-row file
+        unset.write_text("\n".join(l for l in lines if not l.startswith("train.t_max=")) + "\n", encoding="utf-8")
+        for make_args, extra in ((_evaluate, ["--horizons", "8,16"]), (_forecast, [])):
+            expected = _output(capsys, make_args(config_path, tmp_path, *extra))
+            assert _output(capsys, make_args(unset, tmp_path, *extra)) == expected
+
+    def test_evaluate_takes_the_lookback_from_the_checkpoint(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        args = _evaluate(config_path, tmp_path, "--horizons", "8,16")  # a checkpoint with lookback 16
+        assert _output(capsys, args + ["--set", "model.lookback=64"]) == _output(capsys, args)
+
+    def test_train_does_not_size_the_test_split(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        # the test split gets 20 rows, fewer than lookback + t_max = 32
+        assert main(_train(config_path, tmp_path, "data.split=0.7,0.25,0.05")) == 0
+
+
+class TestResolve:
+    """--at and --variate pick by name first (a timestamp by value), then by index."""
+
+    @pytest.fixture
+    def forecast(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        return lambda csv_path, *extra: _output(
+            capsys, _forecast(config_path, tmp_path, "--set", f"data.path={csv_path}", *extra)
+        )
+
+    def test_integer_timestamps_win_over_row_indices(self, forecast, tmp_path):
+        values = make_sinusoid_values(n_steps=400, n_variates=2, seed=4)
+        csv_path = write_csv(tmp_path / "from_1000.csv", values, [str(1000 + i) for i in range(400)])
+        for timestamp, row in (("1200", "200"), ("1015", "15"), ("1399", "-1")):
+            assert forecast(csv_path, "--at", timestamp) == forecast(csv_path, "--at", row)
+
+    def test_a_timestamp_matches_by_value_not_spelling(self, forecast, tmp_path):
+        values = make_sinusoid_values(n_steps=400, n_variates=2, seed=4)
+        hours = [f"{datetime(2016, 7, 1) + timedelta(hours=i):%Y-%m-%d %H:%M:%S}" for i in range(400)]
+        csv_path = write_csv(tmp_path / "hourly.csv", values, hours)
+        spellings = ("2016-07-02 00:00:00", "2016-07-02", "2016-07-02T00:00:00", "24")
+        assert len({forecast(csv_path, "--at", at) for at in spellings}) == 1
+
+    def test_column_names_win_over_column_indices(self, forecast, tmp_path):
+        values = make_sinusoid_values(n_steps=400, n_variates=3, seed=4)
+        numbered = write_csv(tmp_path / "numbered.csv", values, columns=["1", "2", "3"])
+        lettered = write_csv(tmp_path / "lettered.csv", values, columns=["a", "b", "c"])
+        for number, letter in (("1", "a"), ("3", "c")):
+            assert forecast(numbered, "--variate", number) == forecast(lettered, "--variate", letter)
+        assert forecast(lettered, "--variate", "-1") == forecast(lettered, "--variate", "c")
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("elastst ")]
+        assert lines
+        for line in lines:
+            assert callable(build_parser().parse_args(shlex.split(line)[1:]).func), line
 
 
 _THREAD_PROBE = """

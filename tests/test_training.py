@@ -311,5 +311,17 @@ class TestTrain:
             train(state, data, cfg)
         assert "32" in str(err.value)
 
+    def test_rejects_short_validation_split_before_the_first_step(self, tmp_path):
+        state, data, cfg = tiny_setup()
+        data.val_values = data.val_values[:20]  # lookback + t_max = 32 needed
+        log_path = tmp_path / "log.csv"
+        with pytest.raises(SizingError) as err:
+            train(state, data, dataclasses.replace(cfg, log_path=str(log_path)))
+        assert str(err.value).startswith("validation split has 20 steps")
+        assert not log_path.exists()
+        fresh = ModelState.init(state.config, seed=0)
+        for (_, a), (_, b) in zip(state.parameters(), fresh.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_fixed_uniform_weights_reduce_to_plain_mse_vector(self):
         np.testing.assert_array_equal(reweight_vector(25, "fixed-uniform"), np.full(25, 1.0 / 25))
