@@ -1,23 +1,30 @@
-"""Multi-head self-attention encoder blocks over a key prefix.
+"""Multi-head self-attention encoder blocks on context and placeholder rows.
 
 Two departures from a stock pre-norm encoder: query/key vectors are
-position-rotated with the tunable periods before scoring, and only the
-first ``n_keys`` rows are keys. The model puts its context patches
-first and its placeholder patches after them, and passes the context
-patch count as ``n_keys``, so a patch consisting solely of placeholders
+position-rotated with the tunable periods before scoring, and only
+context rows are keys. A block takes the context rows ``ctx`` (B, n_c,
+D), at positions 0..n_c-1, and the placeholder rows ``ph``, at positions
+n_c..n_c+n_h-1, as two tensors; they are never joined. Keys and values
+are projected and rotated from the context rows alone, so a placeholder
 has no key or value at all; placeholder *queries* still attend to
-context keys. Keys and values are projected and rotated for the prefix
-alone, and each query's softmax runs over those n_keys scores. The
-context patch count is fixed by the lookback: scores, softmax and the
-value mix never reduce over an axis that grows with the horizon, and
-every product runs on the fixed-block GEMM of :mod:`numerics`, so
-appending placeholder patches leaves every pre-existing row's output
-bit-identical.
+context keys. Each softmax runs over the n_c scores, a count fixed by
+the lookback: scores, softmax and the value mix never reduce over an
+axis that grows with the horizon, and every product runs on the
+fixed-block GEMM of :mod:`numerics`, so appending placeholder rows
+leaves every pre-existing row's output bit-identical.
 
-Query rows can start later than key rows (``first_query``): the model's
-last layer runs queries, the value mix, the output projection and the
-FFN for its placeholder rows only, because the decoder reads nothing
-else. Context rows there serve only as keys and values.
+``ph`` may be a single (1, 1, D) row shared by every window and
+position. The model's placeholder patches are all zeros and never keys,
+so each patch size's placeholder rows are one model constant until they
+first attend to the context. That row is normalized and projected once,
+broadcast over positions before the rotary step and over the batch
+before scoring; the residual then makes it (B, n_h, D).
+
+The model's last layer computes placeholder rows only
+(``context_queries=False``), because the decoder reads nothing else; its
+context rows serve only as keys and values. ``placeholder_keys=True``
+(the key-mask ablation) appends the placeholder rows to the keys, which
+forfeits horizon invariance.
 """
 
 from __future__ import annotations
@@ -105,64 +112,89 @@ class LayerWeights:
         return named + [(f"ffn.{n}", t) for n, t in self.ffn.parameters()]
 
 
+def _heads(rows: Tensor, mats: list[Tensor]) -> Tensor:
+    """(B, n, D) rows projected by each head's matrix: (B, heads, n, hd)."""
+    b, n, _ = rows.data.shape
+    stacked = nm.matmul(rows, nm.concat(mats, axis=1))  # (B, n, heads*hd)
+    split = nm.reshape(stacked, (b, n, len(mats), mats[0].data.shape[1]))
+    return nm.transpose(split, (0, 2, 1, 3))
+
+
+def keys_and_values(rows: Tensor, periods: trope.TunablePeriods, weights: LayerWeights) -> tuple[Tensor, Tensor]:
+    """The keys of (B, n_k, D) rows at positions 0..n_k-1, rotated and
+    transposed to (B, heads, hd, n_k), and their values (B, heads, n_k, hd)."""
+    if rows.data.ndim != 3 or rows.data.shape[1] < 1:
+        raise ContractError(f"keys need (B, n_k, D) rows with n_k >= 1, got {rows.data.shape}")
+    k = trope.rotate(_heads(rows, weights.wk), np.arange(rows.data.shape[1]), periods)
+    return nm.transpose(k, (0, 1, 3, 2)), _heads(rows, weights.wv)
+
+
 def attention(
-    h: Tensor,
-    n_keys: int,
+    queries: Tensor,
+    positions,
+    keys: tuple[Tensor, Tensor],
     periods: trope.TunablePeriods,
     weights: LayerWeights,
-    first_query: int = 0,
 ) -> tuple[Tensor, Tensor]:
-    """Multi-head attention of rows ``[first_query, N)`` over the first ``n_keys`` rows.
+    """Multi-head attention of query rows at ``positions`` over ``keys``,
+    the pair :func:`keys_and_values` returns.
 
-    ``h`` is (B, N, D); query row t is rotated at position t. Returns the
-    output (B, N - first_query, D) and the attention probabilities
-    (B, heads, N - first_query, n_keys).
+    ``queries`` is (B, n, D), one row per position, or has 1 in place of
+    B or n for a row shared by every window or position. Returns the
+    output (B, n, D) and the attention probabilities (B, heads, n, n_k).
     """
-    if h.data.ndim != 3 or not 1 <= n_keys <= h.data.shape[1]:
+    k_t, v = keys
+    b, heads, hd, _ = k_t.data.shape
+    n = len(positions)
+    shape = queries.data.shape
+    if len(shape) != 3 or shape[0] not in (1, b) or shape[1] not in (1, n) or n < 1:
         raise ContractError(
-            f"attention needs (B, N, D) input and 1 <= n_keys <= N, got {h.data.shape} and {n_keys}"
+            f"queries {shape} do not match {n} positions and a batch of {b} (1 stands for a shared row)"
         )
-    b, n, _ = h.data.shape
-    if not 0 <= first_query < n:
-        raise ContractError(f"attention needs 0 <= first_query < N = {n}, got {first_query}")
-    cfg = weights.config
-    hd, heads = cfg.head_dim, cfg.n_heads
-    h_keys = nm.slice_axis(h, 1, 0, n_keys)
-    h_queries = nm.slice_axis(h, 1, first_query, n) if first_query else h
+    q = _heads(queries, weights.wq)
+    q = trope.rotate(nm.broadcast(q, (shape[0], heads, n, hd)), positions, periods)
+    q = nm.broadcast(q, (b, heads, n, hd))
 
-    def project(x, mats):
-        rows = x.data.shape[1]
-        stacked = nm.matmul(x, nm.concat(mats, axis=1))  # (B, rows, heads*hd)
-        split = nm.reshape(stacked, (b, rows, heads, hd))
-        return nm.transpose(split, (0, 2, 1, 3))  # (B, heads, rows, hd)
-
-    q = trope.rotate(project(h_queries, weights.wq), np.arange(first_query, n), periods)
-    k = trope.rotate(project(h_keys, weights.wk), np.arange(n_keys), periods)
-    v = project(h_keys, weights.wv)
-
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    probs = nm.softmax_lastdim(scores)  # (B, heads, N - first_query, n_keys)
-    mixed = nm.matmul(probs, v)  # (B, heads, N - first_query, hd)
-    merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (b, n - first_query, heads * hd))
+    scores = nm.scale(nm.matmul(q, k_t), 1.0 / math.sqrt(hd))
+    probs = nm.softmax_lastdim(scores)  # (B, heads, n, n_k)
+    mixed = nm.matmul(probs, v)  # (B, heads, n, hd)
+    merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (b, n, heads * hd))
     return nm.matmul(merged, weights.wo), probs
 
 
+def _residual(rows: Tensor, attn_out: Tensor, weights: LayerWeights) -> Tensor:
+    """x + Attn(LN(x)), then x + FFN(LN(x)); a shared row ``rows`` is
+    broadcast to the attention output's shape."""
+    mid = nm.add(nm.broadcast(rows, attn_out.data.shape), attn_out)
+    return nm.add(mid, weights.ffn(nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)))
+
+
 def transformer_block(
-    h: Tensor,
-    n_keys: int,
+    ctx: Tensor,
+    ph: Tensor,
+    n_h: int,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
-    first_query: int = 0,
-) -> Tensor:
-    """Pre-norm residual block on (B, N, D): x + Attn(LN(x)), then x + FFN(LN(x)).
+    placeholder_keys: bool = False,
+    context_queries: bool = True,
+) -> tuple[Tensor | None, Tensor]:
+    """Pre-norm residual block on context rows (B, n_c, D) and ``n_h``
+    placeholder rows ``ph`` (B, n_h, D), or one shared (1, 1, D) row.
 
-    Returns rows ``[first_query, N)`` only; keys and values still come
-    from the first ``n_keys`` rows.
+    Returns the context rows, or None when ``context_queries`` is off, and
+    the placeholder rows (B, n_h, D).
     """
-    normed = nm.layer_norm(h, weights.ln1_gain, weights.ln1_bias)
-    attn_out, _ = attention(normed, n_keys, periods, weights, first_query)
-    rows = nm.slice_axis(h, 1, first_query, h.data.shape[1]) if first_query else h
-    mid = nm.add(rows, attn_out)
+    b, n_c, d = ctx.data.shape
+    ctx_normed = nm.layer_norm(ctx, weights.ln1_gain, weights.ln1_bias)
+    ph_normed = nm.layer_norm(ph, weights.ln1_gain, weights.ln1_bias)
+    key_rows = ctx_normed
+    if placeholder_keys:
+        key_rows = nm.concat([ctx_normed, nm.broadcast(ph_normed, (b, n_h, d))], axis=1)
+    keys = keys_and_values(key_rows, periods, weights)
 
-    normed2 = nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)
-    return nm.add(mid, weights.ffn(normed2))
+    ph_attn, _ = attention(ph_normed, np.arange(n_c, n_c + n_h), keys, periods, weights)
+    ph_out = _residual(ph, ph_attn, weights)
+    if not context_queries:
+        return None, ph_out
+    ctx_attn, _ = attention(ctx_normed, np.arange(n_c), keys, periods, weights)
+    return _residual(ctx, ctx_attn, weights), ph_out

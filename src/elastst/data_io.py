@@ -228,9 +228,11 @@ def stride_windows(
     lookback: int,
     horizon: int,
     stride: int | None = None,
+    what: str = "split",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(variates, starts) covering the split left to right, one variate after another."""
-    check_split(values, lookback, horizon)
+    """(variates, starts) covering the split left to right, one variate after
+    another; ``what`` names the split in a sizing error."""
+    check_split(values, lookback, horizon, what)
     if stride is None:
         stride = horizon
     if stride < 1:

@@ -96,8 +96,13 @@ def varied_horizon_eval(
     the horizon (placeholders are never attention keys) and of its batch
     (fixed-block GEMMs), so the report equals one run per horizon byte for byte.
     """
-    # every horizon is sized (SizingError) before any forward pass
-    plans = {horizon: data_io.stride_windows(values, lookback, horizon, stride) for horizon in horizons}
+    # every horizon is sized (SizingError) before any forward pass; training
+    # sizes its validation split before the first step, so a failure here is
+    # the test split's
+    plans = {
+        horizon: data_io.stride_windows(values, lookback, horizon, stride, what="test split")
+        for horizon in horizons
+    }
     longest = np.zeros(values.shape[::-1], dtype=np.int64)  # (variate, start) -> longest horizon
     for horizon, (variates, starts) in plans.items():
         np.maximum.at(longest, (variates, starts), horizon)

@@ -5,6 +5,13 @@ Each patch size gets its own encoder (patch -> D -> D) and decoder
 transformer backbone and the rotary periods are shared across sizes;
 sizes are processed sequentially and the flattened per-size forecasts
 are averaged into the assembled forecast.
+
+Per size, the context patches and the placeholder patches take separate
+paths through the stack. The context patches are the attention keys.
+Every placeholder patch is zeros, so the placeholders enter the stack as
+one constant row, the encoding of one zero patch, shared by every window
+and position; they become (B, n_h, D) rows only when the first layer
+mixes in the context. Placeholder patches are never materialized.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 """
@@ -132,7 +139,8 @@ def forward_batch(
     """Run the model over a batch of equal-length contexts.
 
     ``use_key_mask=False`` makes every patch, placeholders included, an
-    attention key (ablation only; it forfeits horizon invariance).
+    attention key (ablation only; it forfeits horizon invariance). Both
+    settings run the same blocks.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
@@ -152,18 +160,18 @@ def forward_batch(
         normed = contexts
 
     per_size: list[Tensor] = []
+    last = len(state.layers) - 1
     for p in cfg.patch_sizes:
-        n_c, n_h, _, _ = grid_dims(length, horizon, p)
-        patches = Tensor(segment_batch(normed, horizon, p))
-        n_keys = n_c if use_key_mask else n_c + n_h
-
+        n_h = grid_dims(length, horizon, p)[1]
         coder = state.coders[p]
-        h = coder.enc(patches)
-        for layer in state.layers[:-1]:
-            h = transformer_block(h, n_keys, state.periods, layer)
-        # the decoder reads placeholder rows only, so the last layer computes no others
-        h = transformer_block(h, n_keys, state.periods, state.layers[-1], first_query=n_c)
-        per_size.append(unpatch(coder.dec(h), horizon))  # dec: (B, n_h, p)
+        ctx = coder.enc(Tensor(segment_batch(normed, p)))
+        ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
+        for i, layer in enumerate(state.layers):
+            # the decoder reads placeholder rows only, so the last layer computes no others
+            ctx, ph = transformer_block(
+                ctx, ph, n_h, state.periods, layer, placeholder_keys=not use_key_mask, context_queries=i < last
+            )
+        per_size.append(unpatch(coder.dec(ph), horizon))  # dec: (B, n_h, p)
 
     acc = per_size[0]
     for series in per_size[1:]:

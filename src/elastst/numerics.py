@@ -17,6 +17,12 @@ implementation and are worth knowing before touching anything here:
   plain ``np.sum``; the model only reduces over axes whose length is fixed
   by the configuration and the lookback (features, context keys), never
   over an axis that grows with the horizon.
+* No operation broadcasts implicitly. ``broadcast`` is the one op that
+  repeats a tensor, along its length-1 axes, as a read-only view; its
+  backward sums over those axes. A row computed once and broadcast has the
+  bytes of the same row computed in every place, because every forward op
+  is element-wise, row-wise or a fixed-block GEMM. The model uses this to
+  carry one placeholder row for every window and position.
 * The backward pass has no cross-shape stability requirement (gradients
   are only compared between runs with identical shapes), so it uses plain
   vectorized numpy for speed.
@@ -281,6 +287,24 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
             full = np.zeros_like(x.data)
             full[sl] = g
             _accum(x, full, exclusive=True)
+
+    return record_op(out, (x,), backward_fn)
+
+
+def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``x`` repeated along its length-1 axes to ``shape``, as a read-only
+    view; the gradient sums over those axes. ``x`` itself at equal shape."""
+    shape = tuple(shape)
+    xs = x.data.shape
+    if xs == shape:
+        return x
+    if len(xs) != len(shape) or any(s not in (1, t) for s, t in zip(xs, shape)):
+        raise DimensionError(f"cannot broadcast {xs} to {shape}")
+    axes = tuple(i for i, (s, t) in enumerate(zip(xs, shape)) if s != t)
+    out = Tensor(np.broadcast_to(x.data, shape))
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accum(x, g.sum(axis=axes, keepdims=True), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 

@@ -1,12 +1,12 @@
 """Patch grids and the patch/series round trip.
 
 A forecast request is a batch of context series plus a horizon length.
-Context and horizon are padded and segmented *separately* so that no
-patch ever mixes observed values with placeholder positions: the context
-is left-padded with zeros to a multiple of the patch size, the horizon is
-materialized as zeros and right-padded. Context patches come first and
-placeholder patches after them, so for any horizon length the attention
-keys, the context patches, are exactly the first ``context_patches`` rows.
+Context and horizon are segmented *separately* so that no patch ever
+mixes observed values with placeholder positions: the context is
+left-padded with zeros to a multiple of the patch size, and the horizon,
+right-padded, spans ``n_h`` placeholder patches. A placeholder patch is
+all zeros, so only the context patches are materialized; the model
+encodes one zero patch for all placeholders.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ def grid_dims(context_len: int, horizon_len: int, patch_size: int) -> tuple[int,
     return n_c, n_h, n_c * patch_size - context_len, n_h * patch_size - horizon_len
 
 
-def segment_batch(contexts: np.ndarray, horizon_len: int, patch_size: int) -> np.ndarray:
-    """(B, L) contexts to (B, N, P) patches: left-padded context patches
-    first, placeholder (zero) patches last."""
+def segment_batch(contexts: np.ndarray, patch_size: int) -> np.ndarray:
+    """(B, L) contexts to their (B, n_c, P) context patches, left-padded."""
     b, length = contexts.shape
-    n_c, n_h, left_pad, _ = grid_dims(length, horizon_len, patch_size)
-    ctx = np.concatenate([np.zeros((b, left_pad)), contexts], axis=1).reshape(b, n_c, patch_size)
-    return np.concatenate([ctx, np.zeros((b, n_h, patch_size))], axis=1)
+    n_c, _, left_pad, _ = grid_dims(length, 0, patch_size)
+    return np.concatenate([np.zeros((b, left_pad)), contexts], axis=1).reshape(b, n_c, patch_size)
 
 
 def unpatch(rows: Tensor, horizon_len: int) -> Tensor:

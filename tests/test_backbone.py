@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import elastst.numerics as nm
-from elastst.backbone import AttentionConfig, LayerWeights, attention, transformer_block
+from elastst.backbone import AttentionConfig, LayerWeights, attention, keys_and_values, transformer_block
 from elastst.errors import ContractError, ParameterError
 from elastst.numerics import Tensor, finite_diff_check
 from elastst.trope import PeriodSpec, init_periods
@@ -34,62 +34,86 @@ class TestConfig:
             AttentionConfig(16, 2, 8, 24, 0)
 
 
+def attend(h, n_keys, periods, weights, first_query=0):
+    """Attention of rows ``[first_query, N)`` of ``h`` over its first ``n_keys`` rows."""
+    keys = keys_and_values(nm.slice_axis(h, 1, 0, n_keys), periods, weights)
+    queries = nm.slice_axis(h, 1, first_query, h.data.shape[1])
+    return attention(queries, np.arange(first_query, h.data.shape[1]), keys, periods, weights)
+
+
+def split(h, n_c):
+    """(B, N, D) rows as context rows and placeholder rows."""
+    return Tensor(h[:, :n_c]), Tensor(h[:, n_c:])
+
+
 class TestMaskedAttention:
     def test_single_unmasked_key_gets_full_weight(self):
         h = Tensor(rand_h(1))
-        _, probs = attention(h, 1, make_periods(), make_weights())
+        _, probs = attend(h, 1, make_periods(), make_weights())
         assert probs.data.shape == (1, CFG.n_heads, 1, 1)
         assert np.all(probs.data == 1.0)
 
     def test_single_patch_output_is_its_own_value_projection(self):
         weights = make_weights()
         hd = rand_h(1)
-        out, _ = attention(Tensor(hd), 1, make_periods(), weights)
+        out, _ = attend(Tensor(hd), 1, make_periods(), weights)
         v = np.concatenate([hd[0] @ w.data for w in weights.wv], axis=1)
         expected = v @ weights.wo.data
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
     def test_two_patches_one_masked_gives_unit_row(self):
         h = Tensor(rand_h(2))
-        _, probs = attention(h, 1, make_periods(), make_weights())
+        _, probs = attend(h, 1, make_periods(), make_weights())
         assert probs.data.shape == (1, CFG.n_heads, 2, 1)
         np.testing.assert_array_equal(probs.data[0, :, :, 0], np.ones((CFG.n_heads, 2)))
 
     def test_probabilities_are_row_stochastic_over_unmasked(self):
         h = Tensor(rand_h(7, seed=3))
-        _, probs = attention(h, 4, make_periods(), make_weights())
+        _, probs = attend(h, 4, make_periods(), make_weights())
         assert probs.data.shape == (1, CFG.n_heads, 7, 4)
         assert np.max(np.abs(probs.data.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_all_masked_rejected(self):
-        h = Tensor(rand_h(3))
         with pytest.raises(ContractError):
-            attention(h, 0, make_periods(), make_weights())
+            keys_and_values(Tensor(np.zeros((1, 0, CFG.d_model))), make_periods(), make_weights())
 
-    def test_more_keys_than_rows_rejected(self):
-        h = Tensor(rand_h(3))
+    def test_queries_from_another_batch_rejected(self):
+        keys = keys_and_values(Tensor(rand_h(3)), make_periods(), make_weights())
         with pytest.raises(ContractError):
-            attention(h, 4, make_periods(), make_weights())
+            attention(Tensor(np.zeros((2, 3, CFG.d_model))), np.arange(3), keys, make_periods(), make_weights())
 
-    @pytest.mark.parametrize("first_query", [-1, 3, 4])
-    def test_first_query_outside_the_rows_rejected(self, first_query):
+    @pytest.mark.parametrize("n_positions", [0, 2, 4])
+    def test_query_rows_must_match_their_positions(self, n_positions):
+        periods, weights = make_periods(), make_weights()
+        keys = keys_and_values(Tensor(rand_h(3)), periods, weights)
         with pytest.raises(ContractError):
-            attention(Tensor(rand_h(3)), 2, make_periods(), make_weights(), first_query)
+            attention(Tensor(rand_h(3)), np.arange(n_positions), keys, periods, weights)
 
     def test_later_queries_are_the_matching_rows_of_all_queries(self):
         weights = make_weights(seed=19)
         periods = make_periods()
         h = Tensor(np.concatenate([rand_h(6, seed=20), rand_h(6, seed=21)]))
-        out_all, probs_all = attention(h, 4, periods, weights)
-        out_late, probs_late = attention(h, 4, periods, weights, first_query=4)
+        out_all, probs_all = attend(h, 4, periods, weights)
+        out_late, probs_late = attend(h, 4, periods, weights, first_query=4)
         assert out_late.data.shape == (2, 2, CFG.d_model)
         assert probs_late.data.shape == (2, CFG.n_heads, 2, 4)
         assert np.array_equal(out_late.data, out_all.data[:, 4:])
         assert np.array_equal(probs_late.data, probs_all.data[:, :, 4:])
 
+    def test_shared_query_row_equals_its_copies(self):
+        weights = make_weights(seed=22)
+        periods = make_periods()
+        keys = keys_and_values(Tensor(np.concatenate([rand_h(4, seed=23), rand_h(4, seed=24)])), periods, weights)
+        row = rand_h(1, seed=25)
+        positions = np.arange(4, 9)
+        shared, _ = attention(Tensor(row), positions, keys, periods, weights)
+        copies, _ = attention(Tensor(np.tile(row, (2, 5, 1))), positions, keys, periods, weights)
+        assert shared.data.shape == (2, 5, CFG.d_model)
+        assert np.array_equal(shared.data, copies.data)
+
     def test_unbatched_input_rejected(self):
         with pytest.raises(ContractError):
-            attention(Tensor(rand_h(3)[0]), 2, make_periods(), make_weights())
+            keys_and_values(Tensor(rand_h(3)[0]), make_periods(), make_weights())
 
     def test_masked_patch_perturbation_cannot_leak(self):
         weights = make_weights(seed=5)
@@ -97,8 +121,8 @@ class TestMaskedAttention:
         base = rand_h(4, seed=6)
         poked = base.copy()
         poked[0, 3] += 10.0  # perturb a non-key row
-        out_a, _ = attention(Tensor(base), 2, periods, weights)
-        out_b, _ = attention(Tensor(poked), 2, periods, weights)
+        out_a, _ = attend(Tensor(base), 2, periods, weights)
+        out_b, _ = attend(Tensor(poked), 2, periods, weights)
         assert np.array_equal(out_a.data[0, :3], out_b.data[0, :3])
 
     def test_probabilities_match_independent_construction(self):
@@ -111,7 +135,7 @@ class TestMaskedAttention:
         periods = make_periods()
         n, n_keys = 5, 3
         hd = rand_h(n, seed=31)
-        _, probs = attention(Tensor(hd), n_keys, periods, weights)
+        _, probs = attend(Tensor(hd), n_keys, periods, weights)
         for head in range(CFG.n_heads):
             q = hd[0] @ weights.wq[head].data
             k = hd[0] @ weights.wk[head].data
@@ -130,15 +154,14 @@ class TestMaskedAttention:
         weights = make_weights(seed=7)
         periods = make_periods()
         h = np.concatenate([rand_h(3, seed=8), rand_h(3, seed=9)])
-        batched, _ = attention(Tensor(h), 2, periods, weights)
+        batched, _ = attend(Tensor(h), 2, periods, weights)
         for i in range(2):
-            alone, _ = attention(Tensor(h[i : i + 1]), 2, periods, weights)
+            alone, _ = attend(Tensor(h[i : i + 1]), 2, periods, weights)
             assert np.array_equal(batched.data[i], alone.data[0])
 
 
 class TestTransformerBlock:
     def test_zero_weights_give_residual_identity(self):
-        cfg = CFG
         weights = make_weights()
         for w in weights.wq + weights.wk + weights.wv:
             w.data[:] = 0.0
@@ -146,22 +169,29 @@ class TestTransformerBlock:
         weights.ffn.w1.data[:] = 0.0
         weights.ffn.w2.data[:] = 0.0
         h = rand_h(5, seed=9)
-        out = transformer_block(Tensor(h), 3, make_periods(), weights)
-        assert np.array_equal(out.data, h)
+        ctx, ph = transformer_block(*split(h, 3), 2, make_periods(), weights)
+        assert np.array_equal(ctx.data, h[:, :3])
+        assert np.array_equal(ph.data, h[:, 3:])
 
-    @pytest.mark.parametrize("first_query", [0, 2])
-    def test_gradient_check(self, first_query):
+    @pytest.mark.parametrize("shared_row", [False, True])
+    @pytest.mark.parametrize("context_queries", [True, False])
+    def test_gradient_check(self, context_queries, shared_row):
         weights = make_weights(seed=10)
         periods = make_periods()
-        h = Tensor(np.random.default_rng(11).uniform(-1, 1, (1, 3, CFG.d_model)), requires_grad=True)
-        out_shape = (1, 3 - first_query, CFG.d_model)
-        target = Tensor(np.random.default_rng(12).uniform(-1, 1, out_shape))
-        ones = Tensor(np.ones(out_shape))
+        rng = np.random.default_rng(11)
+        ctx = Tensor(rng.uniform(-1, 1, (2, 2, CFG.d_model)), requires_grad=True)
+        ph = Tensor(rng.uniform(-1, 1, (1, 1, CFG.d_model) if shared_row else (2, 3, CFG.d_model)), requires_grad=True)
+        targets = Tensor(rng.uniform(-1, 1, (2, 5, CFG.d_model)))
+        ones = Tensor(np.ones((2, 5, CFG.d_model)))
 
         def f():
-            return nm.mse(transformer_block(h, 2, periods, weights, first_query), target, ones)
+            out_ctx, out_ph = transformer_block(ctx, ph, 3, periods, weights, context_queries=context_queries)
+            loss = nm.mse(out_ph, nm.slice_axis(targets, 1, 2, 5), nm.slice_axis(ones, 1, 2, 5))
+            if context_queries:
+                loss = nm.add(loss, nm.mse(out_ctx, nm.slice_axis(targets, 1, 0, 2), nm.slice_axis(ones, 1, 0, 2)))
+            return loss
 
-        params = [h, periods.log_periods, weights.wq[0], weights.wo,
+        params = [ctx, ph, periods.log_periods, weights.wq[0], weights.wk[1], weights.wo,
                   weights.ln1_gain, weights.ffn.w1, weights.ffn.b2]
         assert finite_diff_check(f, params, step=1e-5) < 1e-4
 
@@ -173,13 +203,34 @@ class TestTransformerBlock:
         poked[0, 4] -= 3.0
 
         def run(h):
-            t = Tensor(h)
+            ctx, ph = split(h, 3)
             for layer in layers:
-                t = transformer_block(t, 3, periods, layer)
-            return t.data
+                ctx, ph = transformer_block(ctx, ph, 2, periods, layer)
+            return np.concatenate([ctx.data, ph.data], axis=1)
 
         out_a, out_b = run(base), run(poked)
         assert np.array_equal(out_a[0, :4], out_b[0, :4])
+
+    @pytest.mark.parametrize("placeholder_keys", [False, True])
+    def test_placeholder_keys_are_appended_to_the_context_keys(self, placeholder_keys):
+        weights = make_weights(seed=26)
+        periods = make_periods()
+        h = Tensor(rand_h(5, seed=27))
+        n_keys = 5 if placeholder_keys else 3
+        ctx, ph = transformer_block(*split(h.data, 3), 2, periods, weights, placeholder_keys=placeholder_keys)
+        normed = nm.layer_norm(h, weights.ln1_gain, weights.ln1_bias)
+        attn, _ = attend(normed, n_keys, periods, weights)
+        mid = nm.add(h, attn)
+        expected = nm.add(mid, weights.ffn(nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)))
+        assert np.array_equal(np.concatenate([ctx.data, ph.data], axis=1), expected.data)
+
+    def test_last_block_computes_placeholder_rows_only(self):
+        weights = make_weights(seed=28)
+        periods = make_periods()
+        rows = split(rand_h(6, seed=29), 4)
+        ctx, ph = transformer_block(*rows, 2, periods, weights, context_queries=False)
+        assert ctx is None
+        assert np.array_equal(ph.data, transformer_block(*rows, 2, periods, weights)[1].data)
 
     def test_appending_masked_rows_leaves_existing_rows_bitwise(self):
         weights = make_weights(seed=16)
@@ -188,10 +239,17 @@ class TestTransformerBlock:
         extra = np.random.default_rng(18).standard_normal((1, 9, CFG.d_model))
         longer = np.concatenate([base, extra], axis=1)
 
-        small = transformer_block(Tensor(base), 4, periods, weights).data
-        big = transformer_block(Tensor(longer), 4, periods, weights).data
+        small = np.concatenate([t.data for t in transformer_block(*split(base, 4), 2, periods, weights)], axis=1)
+        big = np.concatenate([t.data for t in transformer_block(*split(longer, 4), 11, periods, weights)], axis=1)
         assert np.array_equal(big[:, :6], small)
 
-        small_att, _ = attention(Tensor(base), 4, periods, weights)
-        big_att, _ = attention(Tensor(longer), 4, periods, weights)
+        small_att, _ = attend(Tensor(base), 4, periods, weights)
+        big_att, _ = attend(Tensor(longer), 4, periods, weights)
         assert np.array_equal(big_att.data[:, :6], small_att.data)
+
+    def test_context_and_placeholder_shapes_checked(self):
+        periods, weights = make_periods(), make_weights()
+        with pytest.raises(ContractError):
+            transformer_block(Tensor(np.zeros((1, 0, CFG.d_model))), Tensor(rand_h(1)), 1, periods, weights)
+        with pytest.raises(ContractError):
+            transformer_block(Tensor(rand_h(2)), Tensor(rand_h(1)), 0, periods, weights)

@@ -333,6 +333,12 @@ class TestBadInput:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_evaluate_names_the_test_split_when_a_horizon_does_not_fit(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        assert main(_evaluate(config_path, tmp_path, "--horizons", "8,100000")) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "test split" in line
+
     def test_unwritable_log_fails_before_training(self, workspace, tmp_path, capsys):
         _, config_path = workspace
         assert main(_train(config_path, tmp_path, f"out.log={tmp_path}")) == 3

@@ -1,7 +1,8 @@
 """Property tests: the forecast at horizon H0 is, bit for bit, the first H0
-steps of the forecast at any longer horizon H, for random small models; and
-a block that runs queries from row f on gives, bit for bit, rows f.. of the
-block that runs them all."""
+steps of the forecast at any longer horizon H, for random small models; the
+forecast equals, bit for bit, that of the every-row reference forward; and
+a block fed one shared placeholder row gives, bit for bit, what it gives
+for that row repeated in every window and position."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from elastst.backbone import AttentionConfig, LayerWeights, transformer_block
 from elastst.model import ElasTSTConfig, ModelState, forward_batch
 from elastst.numerics import Tensor
 from elastst.trope import PeriodSpec, init_periods
+from every_row import every_row_forward
 
 PATCH_SIZES = (1, 2, 3, 5, 8, 16, 32)
 
@@ -69,13 +71,55 @@ def test_forecast_prefix_is_horizon_invariant(case):
 
 
 @st.composite
+def oracle_cases(draw):
+    return {
+        "sizes": tuple(draw(st.lists(st.sampled_from(PATCH_SIZES), min_size=1, max_size=3, unique=True))),
+        "lookback": draw(st.integers(1, 70)),
+        "batch": draw(st.integers(1, 3)),
+        "horizon": draw(st.integers(1, 100)),
+        "n_layers": draw(st.integers(1, 3)),
+        "n_heads": draw(st.integers(1, 2)),
+        "instance_norm": draw(st.booleans()),
+        "use_key_mask": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+ORACLE = dict(n_heads=2, instance_norm=True, seed=1)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(oracle_cases())
+@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=True))
+@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=False))
+@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=True))
+@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=False))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=True))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=False))
+def test_forecast_equals_the_every_row_forward(case):
+    config = ElasTSTConfig(
+        patch_sizes=case["sizes"],
+        period_spec=PeriodSpec(1.0, 200.0, 4),
+        attention=AttentionConfig(
+            d_model=8, n_heads=case["n_heads"], head_dim=4, d_ff=12, n_layers=case["n_layers"]
+        ),
+        lookback=case["lookback"],
+        instance_norm=case["instance_norm"],
+    )
+    state = ModelState.init(config, seed=case["seed"])
+    contexts = np.random.default_rng(case["seed"]).normal(1.0, 2.0, (case["batch"], case["lookback"]))
+    args = (state, contexts, case["horizon"], case["use_key_mask"])
+    assert np.array_equal(forward_batch(*args).values, every_row_forward(*args).values)
+
+
+@st.composite
 def block_cases(draw):
-    n = draw(st.integers(1, 40))
     return {
         "batch": draw(st.integers(1, 4)),
-        "n": n,
-        "n_keys": draw(st.integers(1, n)),
-        "first_query": draw(st.integers(0, n - 1)),
+        "n_c": draw(st.integers(1, 20)),
+        "n_h": draw(st.integers(1, 40)),
+        "placeholder_keys": draw(st.booleans()),
+        "context_queries": draw(st.booleans()),
         "n_heads": draw(st.integers(1, 2)),
         "seed": draw(st.integers(0, 2**16)),
     }
@@ -83,14 +127,20 @@ def block_cases(draw):
 
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(block_cases())
-def test_later_first_query_gives_the_matching_rows(case):
+def test_shared_placeholder_row_gives_the_rows_of_its_copies(case):
     config = AttentionConfig(d_model=8, n_heads=case["n_heads"], head_dim=4, d_ff=12, n_layers=1)
     rng = np.random.default_rng(case["seed"])
     weights = LayerWeights(config, rng)
     periods = init_periods(PeriodSpec(1.0, 200.0, 4))
-    h = Tensor(rng.standard_normal((case["batch"], case["n"], 8)))
-    f = case["first_query"]
-    every_row = transformer_block(h, case["n_keys"], periods, weights).data
-    late_rows = transformer_block(h, case["n_keys"], periods, weights, first_query=f).data
-    assert late_rows.shape == (case["batch"], case["n"] - f, 8)
-    assert np.array_equal(late_rows, every_row[:, f:])
+    b, n_h = case["batch"], case["n_h"]
+    ctx = Tensor(rng.standard_normal((b, case["n_c"], 8)))
+    row = rng.standard_normal((1, 1, 8))
+    flags = dict(placeholder_keys=case["placeholder_keys"], context_queries=case["context_queries"])
+    shared = transformer_block(ctx, Tensor(row), n_h, periods, weights, **flags)
+    copies = transformer_block(ctx, Tensor(np.tile(row, (b, n_h, 1))), n_h, periods, weights, **flags)
+    assert shared[1].data.shape == (b, n_h, 8)
+    assert np.array_equal(shared[1].data, copies[1].data)
+    if case["context_queries"]:
+        assert np.array_equal(shared[0].data, copies[0].data)
+    else:
+        assert shared[0] is None and copies[0] is None

@@ -173,6 +173,8 @@ class TestElementwiseOps:
         checks.append((lambda: square_mean(nm.slice_axis(x, 1, 1, 3)), [x]))
         checks.append((lambda: square_mean(nm.reshape(x, (4, 3))), [x]))
         checks.append((lambda: square_mean(nm.transpose(x, (1, 0))), [x]))
+        row = param(rng.uniform(-2, 2, (1, 4)))
+        checks.append((lambda: square_mean(nm.mul(nm.broadcast(row, (3, 4)), x)), [row, x]))
         checks.append((lambda: nm.mean(nm.mul(x, x)), [x]))
         w = param(rng.uniform(0.1, 1.0, (3, 4)))
         t = param(rng.uniform(-2, 2, (3, 4)))
@@ -189,6 +191,31 @@ class TestElementwiseOps:
             return nm.gelu(nm.softmax_lastdim(nm.matmul(t, Tensor(x.T)))).data
 
         assert np.array_equal(run(), run())
+
+
+class TestBroadcast:
+    def test_repeats_length_one_axes_without_a_copy(self):
+        x = Tensor(np.arange(3.0).reshape(1, 3, 1))
+        out = nm.broadcast(x, (2, 3, 4))
+        assert np.array_equal(out.data, np.tile(x.data, (2, 1, 4)))
+        assert np.shares_memory(out.data, x.data)
+
+    def test_equal_shape_is_the_input_itself(self):
+        x = Tensor(np.zeros((2, 3)))
+        assert nm.broadcast(x, (2, 3)) is x
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3, 1)])
+    def test_incompatible_shapes_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            nm.broadcast(Tensor(np.zeros((2, 1))), shape)
+
+    def test_gradient_sums_over_the_repeated_axes(self):
+        x = param(np.ones((1, 2, 1)))
+        g = np.arange(24.0).reshape(2, 3, 4)[:, :2]
+        with Graph():
+            out = nm.broadcast(x, (2, 2, 4))
+            backward(nm.mse(out, Tensor(np.zeros(out.data.shape)), Tensor(g)))
+        assert np.array_equal(x.grad, (2.0 * g).sum(axis=(0, 2), keepdims=True))
 
 
 class TestBackward:

@@ -15,35 +15,34 @@ def context(length):
 class TestSegment:
     def test_exact_divisibility(self):
         assert grid_dims(96, 96, 8) == (12, 12, 0, 0)
-        assert segment_batch(context(96), 96, 8).shape == (1, 24, 8)
+        assert segment_batch(context(96), 8).shape == (1, 12, 8)
 
     def test_ceil_arithmetic_with_padding(self):
         n_c, n_h, left_pad, right_pad = grid_dims(90, 100, 8)
         assert (n_c, left_pad) == (12, 6)
         assert (n_h, right_pad) == (13, 4)
-        assert segment_batch(context(90), 100, 8).shape == (1, 25, 8)
+        assert segment_batch(context(90), 8).shape == (1, 12, 8)
 
     def test_single_patch_content(self):
-        patches = segment_batch(context(8), 8, 8)[0]
-        assert patches.tolist() == [[1, 2, 3, 4, 5, 6, 7, 8], [0] * 8]
+        patches = segment_batch(context(8), 8)[0]
+        assert patches.tolist() == [[1, 2, 3, 4, 5, 6, 7, 8]]
 
     def test_left_padding_goes_before_context(self):
-        patches = segment_batch(np.array([[5.0, 6.0, 7.0]]), 4, 4)[0]
+        patches = segment_batch(np.array([[5.0, 6.0, 7.0]]), 4)[0]
         assert patches[0].tolist() == [0.0, 5.0, 6.0, 7.0]
 
     def test_invalid_patch_size(self):
         with pytest.raises(ParameterError):
-            segment_batch(context(8), 8, 0)
+            segment_batch(context(8), 0)
         with pytest.raises(ParameterError):
             grid_dims(8, 8, -1)
 
     def test_no_patch_mixes_context_and_placeholder(self):
         for length, horizon, p in ((90, 100, 8), (5, 3, 4), (17, 1, 16)):
-            n_c, n_h, _, _ = grid_dims(length, horizon, p)
-            patches = segment_batch(context(length), horizon, p)[0]
-            assert patches.shape == (n_c + n_h, p)
-            assert np.all(patches[n_c:] == 0.0)
-            assert patches[:n_c].size == n_c * p
+            n_c, _, left_pad, _ = grid_dims(length, horizon, p)
+            patches = segment_batch(context(length), p)[0]
+            assert patches.shape == (n_c, p)
+            assert patches.reshape(-1).tolist() == [0.0] * left_pad + context(length)[0].tolist()
 
 
 class TestUnpatch:
@@ -81,22 +80,18 @@ class TestUnpatch:
 
 class TestHorizonExtension:
     def test_extension_only_appends_placeholder_rows(self):
-        rng = np.random.default_rng(12)
-        ctx = rng.standard_normal((1, 50))
         for p in (4, 8, 16):
             for t1, t2 in ((1, 7), (8, 32), (17, 100)):
-                n_c, n_h1, _, _ = grid_dims(50, t1, p)
-                assert grid_dims(50, t2, p)[0] == n_c
-                g1 = segment_batch(ctx, t1, p)[0]
-                g2 = segment_batch(ctx, t2, p)[0]
-                np.testing.assert_array_equal(g1[:n_c], g2[:n_c])
-                np.testing.assert_array_equal(g1[n_c:], g2[n_c : n_c + n_h1])
+                n_c, n_h1, left_pad, _ = grid_dims(50, t1, p)
+                n_c2, n_h2, left_pad2, _ = grid_dims(50, t2, p)
+                assert (n_c2, left_pad2) == (n_c, left_pad)
+                assert n_h2 >= n_h1
 
 
 class TestSegmentBatch:
     def test_matches_single_window_layout(self):
         rng = np.random.default_rng(13)
         contexts = rng.standard_normal((5, 21))
-        batched = segment_batch(contexts, 13, 4)
+        batched = segment_batch(contexts, 4)
         for i in range(5):
-            np.testing.assert_array_equal(batched[i], segment_batch(contexts[i : i + 1], 13, 4)[0])
+            np.testing.assert_array_equal(batched[i], segment_batch(contexts[i : i + 1], 4)[0])
