@@ -4,7 +4,7 @@ Two departures from a stock pre-norm encoder: query/key vectors are
 position-rotated with the tunable periods before scoring, and only
 context rows are keys. A block takes the context rows ``ctx`` (B, n_c,
 D), at positions 0..n_c-1, and the placeholder rows ``ph``, at positions
-n_c..n_c+n_h-1, as two tensors; they are never joined. Keys and values
+n_c..n_c+n_h-1, as two tensors and two paths. Keys and values
 are projected and rotated from the context rows alone, so a placeholder
 has no key or value at all; placeholder *queries* still attend to
 context keys. Each softmax runs over the n_c scores, a count fixed by
@@ -23,8 +23,8 @@ before scoring; the residual then makes it (B, n_h, D).
 The model's last layer computes placeholder rows only
 (``context_queries=False``), because the decoder reads nothing else; its
 context rows serve only as keys and values. ``placeholder_keys=True``
-(the key-mask ablation) appends the placeholder rows to the keys, which
-forfeits horizon invariance.
+(the key-mask ablation) appends the placeholder rows to the keys, the
+one place the two meet; it forfeits horizon invariance.
 """
 
 from __future__ import annotations

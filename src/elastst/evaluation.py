@@ -97,12 +97,8 @@ def varied_horizon_eval(
     (fixed-block GEMMs), so the report equals one run per horizon byte for byte.
     """
     # every horizon is sized (SizingError) before any forward pass; training
-    # sizes its validation split before the first step, so a failure here is
-    # the test split's
-    plans = {
-        horizon: data_io.stride_windows(values, lookback, horizon, stride, what="test split")
-        for horizon in horizons
-    }
+    # sizes its validation split first, so a failure here is the test split's
+    plans = {h: data_io.stride_windows(values, lookback, h, stride, what="test split") for h in horizons}
     longest = np.zeros(values.shape[::-1], dtype=np.int64)  # (variate, start) -> longest horizon
     for horizon, (variates, starts) in plans.items():
         np.maximum.at(longest, (variates, starts), horizon)
