@@ -2,29 +2,30 @@
 
 Two departures from a stock pre-norm encoder: query/key vectors are
 position-rotated with the tunable periods before scoring, and only
-context rows are keys. A block takes the context rows ``ctx`` (B, n_c,
-D), at positions 0..n_c-1, and the placeholder rows ``ph``, at positions
-n_c..n_c+n_h-1, as two tensors and two paths. Keys and values
-are projected and rotated from the context rows alone, so a placeholder
-has no key or value at all; placeholder *queries* still attend to
-context keys. Each softmax runs over the n_c scores, a count fixed by
-the lookback: scores, softmax and the value mix never reduce over an
-axis that grows with the horizon, and every product runs on the
-fixed-block GEMM of :mod:`numerics`, so appending placeholder rows
-leaves every pre-existing row's output bit-identical.
+context rows are keys. The model runs each layer's block twice, in two
+passes. The context pass gives a block the context rows (B, n_c, D) at
+positions 0..n_c-1: it projects and rotates this layer's keys and values
+from them, and computes the context rows the next layer needs, or none
+in the last layer, whose context rows nobody reads. The placeholder
+stream then gives a block query rows at positions past the context with
+those keys, any number of positions at a time. A placeholder has no key
+or value at all; its query still attends to the context keys. Each
+softmax runs over the n_c scores, a count fixed by the lookback: scores,
+softmax and the value mix never reduce over an axis that grows with the
+horizon, and every product runs on the fixed-block GEMM of
+:mod:`numerics`, so a placeholder row's bytes depend on the context and
+its own position alone, not on how many rows share its chunk.
 
-``ph`` may be a single (1, 1, D) row shared by every window and
+Query rows may be a single (1, 1, D) row shared by every window and
 position. The model's placeholder patches are all zeros and never keys,
 so each patch size's placeholder rows are one model constant until they
 first attend to the context. That row is normalized and projected once,
 broadcast over positions before the rotary step and over the batch
-before scoring; the residual then makes it (B, n_h, D).
+before scoring; the residual then makes it (B, n, D).
 
-The model's last layer computes placeholder rows only
-(``context_queries=False``), because the decoder reads nothing else; its
-context rows serve only as keys and values. ``placeholder_keys=True``
-(the key-mask ablation) appends the placeholder rows to the keys, the
-one place the two meet; it forfeits horizon invariance.
+The key-mask ablation runs the placeholder rows through the context pass
+with the context rows, so that they are keys too; it forfeits horizon
+invariance.
 """
 
 from __future__ import annotations
@@ -170,31 +171,32 @@ def _residual(rows: Tensor, attn_out: Tensor, weights: LayerWeights) -> Tensor:
 
 
 def transformer_block(
-    ctx: Tensor,
-    ph: Tensor,
-    n_h: int,
+    rows: Tensor,
+    positions,
     periods: trope.TunablePeriods,
     weights: LayerWeights,
-    placeholder_keys: bool = False,
-    context_queries: bool = True,
-) -> tuple[Tensor | None, Tensor]:
-    """Pre-norm residual block on context rows (B, n_c, D) and ``n_h``
-    placeholder rows ``ph`` (B, n_h, D), or one shared (1, 1, D) row.
+    keys: tuple[Tensor, Tensor] | None = None,
+) -> tuple[Tensor | None, tuple[Tensor, Tensor]]:
+    """Pre-norm residual block; returns the rows at ``positions`` and the keys.
 
-    Returns the context rows, or None when ``context_queries`` is off, and
-    the placeholder rows (B, n_h, D).
+    With ``keys`` given (the placeholder stream), ``rows`` are query rows
+    (B, n, D) at ``positions``, or one shared (1, 1, D) row, attending over
+    those keys. Without ``keys`` (the context pass), ``rows`` (B, n, D) sit
+    at positions 0..n-1 and are this layer's keys and values, and
+    ``positions`` is a tail n-m..n-1 of them: the rows the block computes
+    and returns, or None when the tail is empty.
     """
-    b, n_c, d = ctx.data.shape
-    ctx_normed = nm.layer_norm(ctx, weights.ln1_gain, weights.ln1_bias)
-    ph_normed = nm.layer_norm(ph, weights.ln1_gain, weights.ln1_bias)
-    key_rows = ctx_normed
-    if placeholder_keys:
-        key_rows = nm.concat([ctx_normed, nm.broadcast(ph_normed, (b, n_h, d))], axis=1)
-    keys = keys_and_values(key_rows, periods, weights)
-
-    ph_attn, _ = attention(ph_normed, np.arange(n_c, n_c + n_h), keys, periods, weights)
-    ph_out = _residual(ph, ph_attn, weights)
-    if not context_queries:
-        return None, ph_out
-    ctx_attn, _ = attention(ctx_normed, np.arange(n_c), keys, periods, weights)
-    return _residual(ctx, ctx_attn, weights), ph_out
+    normed = nm.layer_norm(rows, weights.ln1_gain, weights.ln1_bias)
+    positions = np.asarray(positions)
+    if keys is None:
+        keys = keys_and_values(normed, periods, weights)
+        n = rows.data.shape[1]
+        first = n - len(positions)
+        if first < 0 or not np.array_equal(positions, np.arange(first, n)):
+            raise ContractError(f"context positions must be a tail of 0..{n - 1}, got {positions}")
+        if first == n:
+            return None, keys
+        if first:
+            rows, normed = nm.slice_axis(rows, 1, first, n), nm.slice_axis(normed, 1, first, n)
+    out, _ = attention(normed, positions, keys, periods, weights)
+    return _residual(rows, out, weights), keys

@@ -6,12 +6,21 @@ transformer backbone and the rotary periods are shared across sizes;
 sizes are processed sequentially and the flattened per-size forecasts
 are averaged into the assembled forecast.
 
-Per size, the context patches and the placeholder patches take separate
-paths through the stack. The context patches are the attention keys.
-Every placeholder patch is zeros, so the placeholders enter the stack as
-one constant row, the encoding of one zero patch, shared by every window
-and position; they become (B, n_h, D) rows only when the first layer
-mixes in the context. Placeholder patches are never materialized.
+Per size, ``forward_batch`` makes two passes. The context pass runs the
+context patches through every layer once and keeps each layer's keys and
+values; its last layer computes nothing else, since the decoder reads no
+context row. The placeholder stream then runs the placeholder rows
+through every layer and the decoder against those keys, ``ROWS // B``
+positions at a time, and concatenates the decoded chunks. Every
+placeholder patch is zeros, so the placeholders enter the stream as one
+constant row, the encoding of one zero patch, shared by every window and
+position; they become (B, n, D) rows when the first layer mixes in the
+context. Placeholders are never keys, so a placeholder row depends only
+on the context and its own position: any chunking gives the same bytes,
+and inference memory is bounded by one chunk plus the outputs. The
+key-mask ablation instead appends the placeholder rows to the context
+rows, runs them all through the context pass, and decodes the rows after
+the context; it is not chunked.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 """
@@ -32,6 +41,10 @@ from .patching import grid_dims, segment_batch, unpatch
 from .trope import PeriodSpec, TunablePeriods, init_periods
 
 CHECKPOINT_MAGIC = "ELASTST-CKPT v1"
+
+# rows per chunk of the placeholder stream: max(1, ROWS // B) positions of
+# B windows; any value gives the same bytes
+ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -130,6 +143,20 @@ class Forecast:
     values: np.ndarray  # (B, T)
 
 
+def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: list, positions, b: int) -> Tensor:
+    """The decoded placeholder rows (B, n_h, p) at ``positions``, from the
+    shared row ``ph`` and each layer's context ``keys``, computed
+    ``max(1, ROWS // B)`` positions at a time."""
+    step = max(1, ROWS // b)
+    decoded = []
+    for start in range(0, len(positions), step):
+        rows = ph
+        for layer, layer_keys in zip(state.layers, keys):
+            rows, _ = transformer_block(rows, positions[start : start + step], state.periods, layer, layer_keys)
+        decoded.append(coder.dec(rows))
+    return decoded[0] if len(decoded) == 1 else nm.concat(decoded, axis=1)
+
+
 def forward_batch(
     state: ModelState,
     contexts: np.ndarray,
@@ -139,8 +166,8 @@ def forward_batch(
     """Run the model over a batch of equal-length contexts.
 
     ``use_key_mask=False`` makes every patch, placeholders included, an
-    attention key (ablation only; it forfeits horizon invariance). Both
-    settings run the same blocks.
+    attention key (ablation only; it forfeits horizon invariance): the
+    placeholder rows then run through the context pass as context rows.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
@@ -162,16 +189,23 @@ def forward_batch(
     per_size: list[Tensor] = []
     last = len(state.layers) - 1
     for p in cfg.patch_sizes:
-        n_h = grid_dims(length, horizon, p)[1]
+        n_c, n_h = grid_dims(length, horizon, p)[:2]
         coder = state.coders[p]
-        ctx = coder.enc(Tensor(segment_batch(normed, p)))
+        rows = coder.enc(Tensor(segment_batch(normed, p)))
         ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
+        if not use_key_mask:  # the ablation: placeholders join the context rows, and the keys
+            rows = nm.concat([rows, nm.broadcast(ph, (b, n_h, ph.data.shape[2]))], axis=1)
+        keys = []
         for i, layer in enumerate(state.layers):
-            # the decoder reads placeholder rows only, so the last layer computes no others
-            ctx, ph = transformer_block(
-                ctx, ph, n_h, state.periods, layer, placeholder_keys=not use_key_mask, context_queries=i < last
-            )
-        per_size.append(unpatch(coder.dec(ph), horizon))  # dec: (B, n_h, p)
+            # the decoder reads no context row, so the last layer queries none
+            first = n_c if i == last else 0
+            rows, layer_keys = transformer_block(rows, np.arange(first, rows.data.shape[1]), state.periods, layer)
+            keys.append(layer_keys)
+        if use_key_mask:
+            decoded = _placeholder_stream(state, coder, ph, keys, np.arange(n_c, n_c + n_h), b)
+        else:
+            decoded = coder.dec(rows)
+        per_size.append(unpatch(decoded, horizon))  # decoded: (B, n_h, p)
 
     acc = per_size[0]
     for series in per_size[1:]:

@@ -139,18 +139,22 @@ def backward(loss: Tensor) -> None:
 def _block_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., M, k) @ (k, n) or (..., k, n), with every GEMM call of fixed dims.
 
-    The M rows are zero-padded to a multiple of ``_ROW_BLOCK`` and split
-    into blocks, and one broadcast ``np.matmul`` makes a (``_ROW_BLOCK``, k)
-    @ (k, n) call per block. With fixed call dimensions each output row is a
+    The M rows are split into blocks of ``_ROW_BLOCK``, and one broadcast
+    ``np.matmul`` makes a (``_ROW_BLOCK``, k) @ (k, n) call per block. When
+    M is a multiple of the block and the rows are unit-stride, the blocks
+    are a reshape of ``a``; otherwise of a zero-padded copy. The calls are
+    the same either way. With fixed call dimensions each output row is a
     pure function of its own input row, its place in its block and ``b``;
     with a BLAS that ignores the place, forward results depend neither on
     how many rows follow nor on where a row lands.
     """
     *lead, m, k = a.shape
     rows = -(-m // _ROW_BLOCK) * _ROW_BLOCK
-    padded = np.zeros((*lead, rows, k))
-    padded[..., :m, :] = a
-    stacked = padded.reshape(*lead, rows // _ROW_BLOCK, _ROW_BLOCK, k)
+    if rows != m or a.strides[-1] != a.itemsize:
+        padded = np.zeros((*lead, rows, k))
+        padded[..., :m, :] = a
+        a = padded
+    stacked = a.reshape(*lead, rows // _ROW_BLOCK, _ROW_BLOCK, k)
     rhs = b if b.ndim == 2 else b[..., None, :, :]
     out = np.matmul(stacked, rhs)
     return out.reshape(*lead, rows, b.shape[-1])[..., :m, :]
@@ -262,7 +266,10 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat of an empty sequence")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    # row-major whatever the inputs' layouts: numpy lays out a concatenation
+    # with a broadcast input along the broadcast strides, and a reduction over
+    # a strided last axis would then sum in another order
+    out = Tensor(np.ascontiguousarray(np.concatenate([t.data for t in tensors], axis=axis)))
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward_fn(g: np.ndarray) -> None:

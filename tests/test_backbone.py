@@ -41,9 +41,15 @@ def attend(h, n_keys, periods, weights, first_query=0):
     return attention(queries, np.arange(first_query, h.data.shape[1]), keys, periods, weights)
 
 
-def split(h, n_c):
-    """(B, N, D) rows as context rows and placeholder rows."""
-    return Tensor(h[:, :n_c]), Tensor(h[:, n_c:])
+def two_passes(h, n_c, periods, weights, context_rows=True):
+    """A block on (B, N, D) rows as ``forward_batch`` runs it: the context
+    pass on the first ``n_c`` rows (keys only without ``context_rows``),
+    then the placeholder rows against its keys. Returns both outputs."""
+    n = h.shape[1]
+    queried = np.arange(n_c) if context_rows else np.arange(n_c, n_c)
+    ctx, keys = transformer_block(Tensor(h[:, :n_c]), queried, periods, weights)
+    ph, _ = transformer_block(Tensor(h[:, n_c:]), np.arange(n_c, n), periods, weights, keys)
+    return ctx, ph
 
 
 class TestMaskedAttention:
@@ -169,13 +175,13 @@ class TestTransformerBlock:
         weights.ffn.w1.data[:] = 0.0
         weights.ffn.w2.data[:] = 0.0
         h = rand_h(5, seed=9)
-        ctx, ph = transformer_block(*split(h, 3), 2, make_periods(), weights)
+        ctx, ph = two_passes(h, 3, make_periods(), weights)
         assert np.array_equal(ctx.data, h[:, :3])
         assert np.array_equal(ph.data, h[:, 3:])
 
     @pytest.mark.parametrize("shared_row", [False, True])
-    @pytest.mark.parametrize("context_queries", [True, False])
-    def test_gradient_check(self, context_queries, shared_row):
+    @pytest.mark.parametrize("context_rows", [True, False])
+    def test_gradient_check(self, context_rows, shared_row):
         weights = make_weights(seed=10)
         periods = make_periods()
         rng = np.random.default_rng(11)
@@ -185,9 +191,10 @@ class TestTransformerBlock:
         ones = Tensor(np.ones((2, 5, CFG.d_model)))
 
         def f():
-            out_ctx, out_ph = transformer_block(ctx, ph, 3, periods, weights, context_queries=context_queries)
+            out_ctx, keys = transformer_block(ctx, np.arange(2 if context_rows else 0), periods, weights)
+            out_ph, _ = transformer_block(ph, np.arange(2, 5), periods, weights, keys)
             loss = nm.mse(out_ph, nm.slice_axis(targets, 1, 2, 5), nm.slice_axis(ones, 1, 2, 5))
-            if context_queries:
+            if context_rows:
                 loss = nm.add(loss, nm.mse(out_ctx, nm.slice_axis(targets, 1, 0, 2), nm.slice_axis(ones, 1, 0, 2)))
             return loss
 
@@ -203,34 +210,44 @@ class TestTransformerBlock:
         poked[0, 4] -= 3.0
 
         def run(h):
-            ctx, ph = split(h, 3)
+            ctx, ph = Tensor(h[:, :3]), Tensor(h[:, 3:])
             for layer in layers:
-                ctx, ph = transformer_block(ctx, ph, 2, periods, layer)
+                ctx, keys = transformer_block(ctx, np.arange(3), periods, layer)
+                ph, _ = transformer_block(ph, np.arange(3, 5), periods, layer, keys)
             return np.concatenate([ctx.data, ph.data], axis=1)
 
         out_a, out_b = run(base), run(poked)
         assert np.array_equal(out_a[0, :4], out_b[0, :4])
 
-    @pytest.mark.parametrize("placeholder_keys", [False, True])
-    def test_placeholder_keys_are_appended_to_the_context_keys(self, placeholder_keys):
+    @pytest.mark.parametrize("every_row_a_key", [False, True])
+    def test_block_is_the_residual_attention_of_its_rows_over_the_keys(self, every_row_a_key):
+        # the context pass on all 5 rows is the key-mask ablation's block;
+        # on the first 3, then the other 2 against its keys, the model's
         weights = make_weights(seed=26)
         periods = make_periods()
         h = Tensor(rand_h(5, seed=27))
-        n_keys = 5 if placeholder_keys else 3
-        ctx, ph = transformer_block(*split(h.data, 3), 2, periods, weights, placeholder_keys=placeholder_keys)
+        if every_row_a_key:
+            out, _ = transformer_block(h, np.arange(5), periods, weights)
+        else:
+            out = nm.concat(list(two_passes(h.data, 3, periods, weights)), axis=1)
         normed = nm.layer_norm(h, weights.ln1_gain, weights.ln1_bias)
-        attn, _ = attend(normed, n_keys, periods, weights)
+        attn, _ = attend(normed, 5 if every_row_a_key else 3, periods, weights)
         mid = nm.add(h, attn)
         expected = nm.add(mid, weights.ffn(nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)))
-        assert np.array_equal(np.concatenate([ctx.data, ph.data], axis=1), expected.data)
+        assert np.array_equal(out.data, expected.data)
 
-    def test_last_block_computes_placeholder_rows_only(self):
+    @pytest.mark.parametrize("first", [0, 2, 5, 6])
+    def test_context_pass_returns_the_rows_at_a_tail_of_positions(self, first):
         weights = make_weights(seed=28)
         periods = make_periods()
-        rows = split(rand_h(6, seed=29), 4)
-        ctx, ph = transformer_block(*rows, 2, periods, weights, context_queries=False)
-        assert ctx is None
-        assert np.array_equal(ph.data, transformer_block(*rows, 2, periods, weights)[1].data)
+        h = Tensor(rand_h(6, seed=29))
+        every_row, keys = transformer_block(h, np.arange(6), periods, weights)
+        tail, tail_keys = transformer_block(h, np.arange(first, 6), periods, weights)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(keys, tail_keys))
+        if first == 6:
+            assert tail is None
+        else:
+            assert np.array_equal(tail.data, every_row.data[:, first:])
 
     def test_appending_masked_rows_leaves_existing_rows_bitwise(self):
         weights = make_weights(seed=16)
@@ -239,8 +256,8 @@ class TestTransformerBlock:
         extra = np.random.default_rng(18).standard_normal((1, 9, CFG.d_model))
         longer = np.concatenate([base, extra], axis=1)
 
-        small = np.concatenate([t.data for t in transformer_block(*split(base, 4), 2, periods, weights)], axis=1)
-        big = np.concatenate([t.data for t in transformer_block(*split(longer, 4), 11, periods, weights)], axis=1)
+        small = np.concatenate([t.data for t in two_passes(base, 4, periods, weights)], axis=1)
+        big = np.concatenate([t.data for t in two_passes(longer, 4, periods, weights)], axis=1)
         assert np.array_equal(big[:, :6], small)
 
         small_att, _ = attend(Tensor(base), 4, periods, weights)
@@ -250,6 +267,10 @@ class TestTransformerBlock:
     def test_context_and_placeholder_shapes_checked(self):
         periods, weights = make_periods(), make_weights()
         with pytest.raises(ContractError):
-            transformer_block(Tensor(np.zeros((1, 0, CFG.d_model))), Tensor(rand_h(1)), 1, periods, weights)
+            transformer_block(Tensor(np.zeros((1, 0, CFG.d_model))), np.arange(0), periods, weights)
+        for positions in (np.arange(1), np.arange(0, 4), np.array([1, 0])):
+            with pytest.raises(ContractError):
+                transformer_block(Tensor(rand_h(3)), positions, periods, weights)
+        _, keys = transformer_block(Tensor(rand_h(2)), np.arange(2), periods, weights)
         with pytest.raises(ContractError):
-            transformer_block(Tensor(rand_h(2)), Tensor(rand_h(1)), 0, periods, weights)
+            transformer_block(Tensor(rand_h(3)), np.arange(2, 4), periods, weights, keys)

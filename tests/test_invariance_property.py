@@ -1,16 +1,19 @@
 """Property tests: the forecast at horizon H0 is, bit for bit, the first H0
 steps of the forecast at any longer horizon H, for random small models; the
-forecast equals, bit for bit, that of the every-row reference forward; and
-a block fed one shared placeholder row gives, bit for bit, what it gives
-for that row repeated in every window and position."""
+forecast equals, bit for bit, that of the every-row reference forward,
+however many placeholder rows each chunk of the stream holds; and a block
+fed one shared placeholder row gives, bit for bit, what it gives for that
+row repeated in every window and position."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from elastst import model
 from elastst.backbone import AttentionConfig, LayerWeights, transformer_block
-from elastst.model import ElasTSTConfig, ModelState, forward_batch
-from elastst.numerics import Tensor
+from elastst.model import ElasTSTConfig, ModelState, composite_loss, forward_batch
+from elastst.numerics import Graph, Tensor
 from elastst.trope import PeriodSpec, init_periods
 from every_row import every_row_forward
 
@@ -88,15 +91,7 @@ def oracle_cases(draw):
 ORACLE = dict(n_heads=2, instance_norm=True, seed=1)
 
 
-@settings(deadline=None, max_examples=150, derandomize=True)
-@given(oracle_cases())
-@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=True))
-@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=False))
-@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=True))
-@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=False))
-@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=True))
-@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=False))
-def test_forecast_equals_the_every_row_forward(case):
+def oracle_state(case):
     config = ElasTSTConfig(
         patch_sizes=case["sizes"],
         period_spec=PeriodSpec(1.0, 200.0, 4),
@@ -108,8 +103,56 @@ def test_forecast_equals_the_every_row_forward(case):
     )
     state = ModelState.init(config, seed=case["seed"])
     contexts = np.random.default_rng(case["seed"]).normal(1.0, 2.0, (case["batch"], case["lookback"]))
+    return state, contexts
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(oracle_cases())
+@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=True))
+@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=False))
+@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=True))
+@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=False))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=True))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=False))
+def test_forecast_equals_the_every_row_forward(case):
+    state, contexts = oracle_state(case)
     args = (state, contexts, case["horizon"], case["use_key_mask"])
     assert np.array_equal(forward_batch(*args).values, every_row_forward(*args).values)
+
+
+CHUNK_ROWS = (1, 2, 3, 7, 16, 1024, 10**9)
+
+
+def values_and_loss(state, contexts, horizon, use_key_mask):
+    """Forecast values and the composite loss's bytes, computed on a tape."""
+    targets = np.random.default_rng(7).standard_normal((contexts.shape[0], horizon))
+    with Graph():
+        forecast = forward_batch(state, contexts, horizon, use_key_mask)
+        loss = composite_loss(forecast, targets, np.full(targets.shape, 1.0 / targets.size))
+    return forecast.values, loss.data.tobytes()
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(oracle_cases())
+@example(dict(ORACLE, sizes=(1, 8), lookback=13, batch=3, horizon=100, n_layers=2, use_key_mask=True))
+@example(dict(ORACLE, sizes=(1, 8), lookback=13, batch=3, horizon=100, n_layers=2, use_key_mask=False))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=1, n_layers=3, use_key_mask=True))
+def test_any_chunk_size_gives_the_same_bytes(case):
+    """The placeholder stream holds ``max(1, ROWS // B)`` positions per
+    chunk; every chunking, one position at a time included, gives the
+    values and loss of the one-chunk run and the every-row forward."""
+    state, contexts = oracle_state(case)
+    args = (state, contexts, case["horizon"], case["use_key_mask"])
+    expected = every_row_forward(*args).values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "ROWS", 10**9)
+        one_chunk, one_chunk_loss = values_and_loss(*args)
+        assert np.array_equal(one_chunk, expected)
+        for rows in CHUNK_ROWS:
+            patch.setattr(model, "ROWS", rows)
+            values, loss = values_and_loss(*args)
+            assert np.array_equal(values, one_chunk), rows
+            assert loss == one_chunk_loss, rows
 
 
 @st.composite
@@ -117,9 +160,9 @@ def block_cases(draw):
     return {
         "batch": draw(st.integers(1, 4)),
         "n_c": draw(st.integers(1, 20)),
+        "start": draw(st.integers(0, 40)),
         "n_h": draw(st.integers(1, 40)),
-        "placeholder_keys": draw(st.booleans()),
-        "context_queries": draw(st.booleans()),
+        "context_rows": draw(st.booleans()),
         "n_heads": draw(st.integers(1, 2)),
         "seed": draw(st.integers(0, 2**16)),
     }
@@ -128,19 +171,19 @@ def block_cases(draw):
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(block_cases())
 def test_shared_placeholder_row_gives_the_rows_of_its_copies(case):
+    """A chunk of ``n_h`` placeholder positions from ``start`` on, fed one
+    shared row or its copies, against the keys of a context pass."""
     config = AttentionConfig(d_model=8, n_heads=case["n_heads"], head_dim=4, d_ff=12, n_layers=1)
     rng = np.random.default_rng(case["seed"])
     weights = LayerWeights(config, rng)
     periods = init_periods(PeriodSpec(1.0, 200.0, 4))
-    b, n_h = case["batch"], case["n_h"]
-    ctx = Tensor(rng.standard_normal((b, case["n_c"], 8)))
+    b, n_c, n_h = case["batch"], case["n_c"], case["n_h"]
+    ctx = Tensor(rng.standard_normal((b, n_c, 8)))
+    out_ctx, keys = transformer_block(ctx, np.arange(0 if case["context_rows"] else n_c, n_c), periods, weights)
+    assert (out_ctx is None) != case["context_rows"]
     row = rng.standard_normal((1, 1, 8))
-    flags = dict(placeholder_keys=case["placeholder_keys"], context_queries=case["context_queries"])
-    shared = transformer_block(ctx, Tensor(row), n_h, periods, weights, **flags)
-    copies = transformer_block(ctx, Tensor(np.tile(row, (b, n_h, 1))), n_h, periods, weights, **flags)
-    assert shared[1].data.shape == (b, n_h, 8)
-    assert np.array_equal(shared[1].data, copies[1].data)
-    if case["context_queries"]:
-        assert np.array_equal(shared[0].data, copies[0].data)
-    else:
-        assert shared[0] is None and copies[0] is None
+    positions = np.arange(n_c + case["start"], n_c + case["start"] + n_h)
+    shared, _ = transformer_block(Tensor(row), positions, periods, weights, keys)
+    copies, _ = transformer_block(Tensor(np.tile(row, (b, n_h, 1))), positions, periods, weights, keys)
+    assert shared.data.shape == (b, n_h, 8)
+    assert np.array_equal(shared.data, copies.data)

@@ -1,4 +1,5 @@
 import errno
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,26 @@ class TestForward:
         state = ModelState.init(small_config(), seed=6)
         with pytest.raises(ParameterError):
             forward_batch(state, np.zeros((1, 16)), 0)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        """Placeholder rows stream through the stack in chunks, so the peak
+        of a forward pass, less the arrays it returns, is the same at one
+        full chunk (``short``) as at eight; numpy reports to tracemalloc."""
+        state = ModelState.init(small_config(), seed=7)
+        ctx = np.random.default_rng(8).standard_normal((4, 16))
+        short = min(state.config.patch_sizes) * (model.ROWS // 4)
+
+        def peak_less_outputs(horizon):
+            tracemalloc.start()
+            try:
+                fc = forward_batch(state, ctx, horizon)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = [t.data for t in fc.per_size] + [fc.assembled.data, fc.values]
+            return peak - sum(a.nbytes for a in outputs)
+
+        assert peak_less_outputs(8 * short) <= peak_less_outputs(short) + 256 * 1024
 
 
 class TestCompositeLoss:

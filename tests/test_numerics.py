@@ -209,6 +209,14 @@ class TestBroadcast:
         with pytest.raises(DimensionError):
             nm.broadcast(Tensor(np.zeros((2, 1))), shape)
 
+    def test_concatenated_with_a_row_it_gives_a_row_major_array(self):
+        # numpy would lay the result out along the broadcast strides, and a
+        # layer norm over a strided feature axis sums in another order
+        row = nm.broadcast(Tensor(np.ones((1, 1, 8))), (2, 2, 8))
+        out = nm.concat([Tensor(np.zeros((2, 1, 8))), row], axis=1)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, np.concatenate([np.zeros((2, 1, 8)), np.ones((2, 2, 8))], axis=1))
+
     def test_gradient_sums_over_the_repeated_axes(self):
         x = param(np.ones((1, 2, 1)))
         g = np.arange(24.0).reshape(2, 3, 4)[:, :2]
