@@ -1,7 +1,7 @@
 """Train-once, forecast-any-horizon time-series transformer.
 
-The model fills the requested horizon with zero placeholders, segments
-context and horizon into patches at several sizes, runs a shared
+The model segments the context into patches at several sizes, fills
+the requested horizon with placeholder patches of zeros, runs a shared
 self-attention backbone with tunable rotary position embeddings, and
 averages the per-size forecasts. Because only context patches are
 attention keys, every already-predicted position is bitwise invariant

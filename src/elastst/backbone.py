@@ -22,10 +22,6 @@ so each patch size's placeholder rows are one model constant until they
 first attend to the context. That row is normalized and projected once,
 broadcast over positions before the rotary step and over the batch
 before scoring; the residual then makes it (B, n, D).
-
-The key-mask ablation runs the placeholder rows through the context pass
-with the context rows, so that they are keys too; it forfeits horizon
-invariance.
 """
 
 from __future__ import annotations
@@ -182,21 +178,18 @@ def transformer_block(
     With ``keys`` given (the placeholder stream), ``rows`` are query rows
     (B, n, D) at ``positions``, or one shared (1, 1, D) row, attending over
     those keys. Without ``keys`` (the context pass), ``rows`` (B, n, D) sit
-    at positions 0..n-1 and are this layer's keys and values, and
-    ``positions`` is a tail n-m..n-1 of them: the rows the block computes
-    and returns, or None when the tail is empty.
+    at positions 0..n-1 and are this layer's keys and values; ``positions``
+    is either all of 0..n-1, whose rows the block computes and returns, or
+    empty, and the block returns None and the keys only.
     """
     normed = nm.layer_norm(rows, weights.ln1_gain, weights.ln1_bias)
     positions = np.asarray(positions)
     if keys is None:
         keys = keys_and_values(normed, periods, weights)
-        n = rows.data.shape[1]
-        first = n - len(positions)
-        if first < 0 or not np.array_equal(positions, np.arange(first, n)):
-            raise ContractError(f"context positions must be a tail of 0..{n - 1}, got {positions}")
-        if first == n:
+        if not len(positions):
             return None, keys
-        if first:
-            rows, normed = nm.slice_axis(rows, 1, first, n), nm.slice_axis(normed, 1, first, n)
+        n = rows.data.shape[1]
+        if not np.array_equal(positions, np.arange(n)):
+            raise ContractError(f"context positions must be 0..{n - 1} or none, got {positions}")
     out, _ = attention(normed, positions, keys, periods, weights)
     return _residual(rows, out, weights), keys

@@ -17,10 +17,7 @@ constant row, the encoding of one zero patch, shared by every window and
 position; they become (B, n, D) rows when the first layer mixes in the
 context. Placeholders are never keys, so a placeholder row depends only
 on the context and its own position: any chunking gives the same bytes,
-and inference memory is bounded by one chunk plus the outputs. The
-key-mask ablation instead appends the placeholder rows to the context
-rows, runs them all through the context pass, and decodes the rows after
-the context; it is not chunked.
+and inference memory is bounded by one chunk plus the outputs.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 """
@@ -157,18 +154,8 @@ def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: l
     return decoded[0] if len(decoded) == 1 else nm.concat(decoded, axis=1)
 
 
-def forward_batch(
-    state: ModelState,
-    contexts: np.ndarray,
-    horizon: int,
-    use_key_mask: bool = True,
-) -> Forecast:
-    """Run the model over a batch of equal-length contexts.
-
-    ``use_key_mask=False`` makes every patch, placeholders included, an
-    attention key (ablation only; it forfeits horizon invariance): the
-    placeholder rows then run through the context pass as context rows.
-    """
+def forward_batch(state: ModelState, contexts: np.ndarray, horizon: int) -> Forecast:
+    """Run the model over a batch of equal-length contexts."""
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
         raise ParameterError(f"contexts must be (B, L) with L >= 1, got {contexts.shape}")
@@ -193,18 +180,12 @@ def forward_batch(
         coder = state.coders[p]
         rows = coder.enc(Tensor(segment_batch(normed, p)))
         ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
-        if not use_key_mask:  # the ablation: placeholders join the context rows, and the keys
-            rows = nm.concat([rows, nm.broadcast(ph, (b, n_h, ph.data.shape[2]))], axis=1)
         keys = []
         for i, layer in enumerate(state.layers):
-            # the decoder reads no context row, so the last layer queries none
-            first = n_c if i == last else 0
-            rows, layer_keys = transformer_block(rows, np.arange(first, rows.data.shape[1]), state.periods, layer)
+            # the decoder reads no context row, so the last layer computes keys only
+            rows, layer_keys = transformer_block(rows, np.arange(n_c if i < last else 0), state.periods, layer)
             keys.append(layer_keys)
-        if use_key_mask:
-            decoded = _placeholder_stream(state, coder, ph, keys, np.arange(n_c, n_c + n_h), b)
-        else:
-            decoded = coder.dec(rows)
+        decoded = _placeholder_stream(state, coder, ph, keys, np.arange(n_c, n_c + n_h), b)
         per_size.append(unpatch(decoded, horizon))  # decoded: (B, n_h, p)
 
     acc = per_size[0]
@@ -376,10 +357,28 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     return echo, arrays
 
 
+def _parameter_count(config: ElasTSTConfig) -> int:
+    """The number of values ``ModelState.init(config)`` allocates."""
+    a = config.attention
+    d = a.d_model
+    coders = sum(2 * p * d + 2 * d * d + 3 * d + p for p in config.patch_sizes)
+    layer = 4 * d * a.n_heads * a.head_dim + 2 * d * a.d_ff + a.d_ff + 5 * d
+    return coders + a.n_layers * layer + a.head_dim // 2
+
+
 def state_from_arrays(
     config: ElasTSTConfig, arrays: dict[str, np.ndarray], prefix: str = ""
 ) -> ModelState:
-    """The model whose parameter ``name`` is the block ``prefix + name``."""
+    """The model whose parameter ``name`` is the block ``prefix + name``.
+
+    A ``config`` read from a file could name any size, so it is checked
+    against the blocks before a model is allocated: its model must not
+    need more values than all of ``arrays`` hold.
+    """
+    needed = _parameter_count(config)
+    held = sum(arr.size for arr in arrays.values())
+    if needed > held:
+        raise FormatError(f"checkpoint config echo describes a model of {needed} values, its blocks hold {held}")
     state = ModelState.init(config, seed=0)
     for name, tensor in state.parameters():
         name = prefix + name

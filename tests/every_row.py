@@ -8,6 +8,12 @@ placeholder rows), keys and values for the first ``n_keys`` rows. Same
 ops, same float arithmetic per row; only the row sets differ. Its forward
 values are therefore bitwise those of ``forward_batch``, and its
 gradients differ only in sums over rows.
+
+With ``use_key_mask=False`` every row, placeholders included, is a key:
+the unmasked forward, which forfeits horizon invariance. The library has
+no such mode. Criterion 2 uses this one to show that the mask is needed,
+and the golden ``FORWARD[(h, False)]`` digests pin its bytes, the same
+bytes the library's unmasked mode gave.
 """
 
 import math

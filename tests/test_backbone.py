@@ -221,8 +221,8 @@ class TestTransformerBlock:
 
     @pytest.mark.parametrize("every_row_a_key", [False, True])
     def test_block_is_the_residual_attention_of_its_rows_over_the_keys(self, every_row_a_key):
-        # the context pass on all 5 rows is the key-mask ablation's block;
-        # on the first 3, then the other 2 against its keys, the model's
+        # the context pass on all 5 rows makes every row a key; on the
+        # first 3, then the other 2 against its keys, as the model runs it
         weights = make_weights(seed=26)
         periods = make_periods()
         h = Tensor(rand_h(5, seed=27))
@@ -236,18 +236,17 @@ class TestTransformerBlock:
         expected = nm.add(mid, weights.ffn(nm.layer_norm(mid, weights.ln2_gain, weights.ln2_bias)))
         assert np.array_equal(out.data, expected.data)
 
-    @pytest.mark.parametrize("first", [0, 2, 5, 6])
-    def test_context_pass_returns_the_rows_at_a_tail_of_positions(self, first):
+    @pytest.mark.parametrize("first", [1, 2, 5])
+    def test_context_pass_returns_every_row_or_keys_only(self, first):
         weights = make_weights(seed=28)
         periods = make_periods()
         h = Tensor(rand_h(6, seed=29))
-        every_row, keys = transformer_block(h, np.arange(6), periods, weights)
-        tail, tail_keys = transformer_block(h, np.arange(first, 6), periods, weights)
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(keys, tail_keys))
-        if first == 6:
-            assert tail is None
-        else:
-            assert np.array_equal(tail.data, every_row.data[:, first:])
+        _, keys = transformer_block(h, np.arange(6), periods, weights)
+        none, keys_only = transformer_block(h, np.arange(0), periods, weights)
+        assert none is None
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(keys, keys_only))
+        with pytest.raises(ContractError):  # a tail is neither every row nor none
+            transformer_block(h, np.arange(first, 6), periods, weights)
 
     def test_appending_masked_rows_leaves_existing_rows_bitwise(self):
         weights = make_weights(seed=16)
@@ -268,7 +267,7 @@ class TestTransformerBlock:
         periods, weights = make_periods(), make_weights()
         with pytest.raises(ContractError):
             transformer_block(Tensor(np.zeros((1, 0, CFG.d_model))), np.arange(0), periods, weights)
-        for positions in (np.arange(1), np.arange(0, 4), np.array([1, 0])):
+        for positions in (np.arange(1), np.arange(1, 3), np.arange(0, 4), np.array([1, 0])):
             with pytest.raises(ContractError):
                 transformer_block(Tensor(rand_h(3)), positions, periods, weights)
         _, keys = transformer_block(Tensor(rand_h(2)), np.arange(2), periods, weights)

@@ -303,6 +303,8 @@ BAD_INPUTS = {
     "checkpoint_setting_is_a_directory": (3, lambda cfg, tmp: _train(cfg, tmp, f"out.checkpoint={tmp}")),
     "checkpoint_flag_is_a_directory": (3, lambda cfg, tmp: [
         "evaluate", "--config", str(cfg), "--checkpoint", str(tmp), "--horizons", "8"]),
+    "checkpoint_echo_claims_a_huge_model": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
+        tmp, "huge.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(b"\nd_model=16\n", b"\nd_model=1600000\n"))]),
     "horizon_not_an_integer": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,x")),
     "zero_stride": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8", "--stride", "0")),
     "horizon_longer_than_split": (3, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8,100000")),

@@ -5,6 +5,10 @@ for the same products) must leave these digests as they are. They cover
 the forward values at short and long horizons with both key modes, the
 H=96 composite loss and every parameter gradient, the checkpoint and
 training log of a short CLI run, and a varied-horizon evaluation report.
+The masked values come from ``forward_batch``. The unmasked ones, every
+placeholder a key too, come from ``every_row_forward(...,
+use_key_mask=False)`` in ``every_row.py``, the only unmasked forward; its
+digests are the bytes ``forward_batch`` gave when it had that switch.
 
 ``GRADIENTS`` was re-recorded when the last encoder layer stopped
 computing its context rows (they are keys and values there, never
@@ -99,7 +103,10 @@ def contexts():
 
 @pytest.mark.parametrize("horizon, use_key_mask", list(FORWARD))
 def test_forward_values(state, contexts, horizon, use_key_mask):
-    values = forward_batch(state, contexts, horizon, use_key_mask=use_key_mask).values
+    if use_key_mask:
+        values = forward_batch(state, contexts, horizon).values
+    else:  # the unmasked forward is computed by the every-row reference only
+        values = every_row_forward(state, contexts, horizon, use_key_mask=False).values
     assert sha256(values) == FORWARD[horizon, use_key_mask]
 
 

@@ -83,7 +83,6 @@ def oracle_cases(draw):
         "n_layers": draw(st.integers(1, 3)),
         "n_heads": draw(st.integers(1, 2)),
         "instance_norm": draw(st.booleans()),
-        "use_key_mask": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
     }
 
@@ -108,41 +107,37 @@ def oracle_state(case):
 
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(oracle_cases())
-@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=True))
-@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1, use_key_mask=False))
-@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=True))
-@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2, use_key_mask=False))
-@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=True))
-@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3, use_key_mask=False))
+@example(dict(ORACLE, sizes=(8, 32), lookback=13, batch=1, horizon=5, n_layers=1))
+@example(dict(ORACLE, sizes=(3, 16), lookback=20, batch=3, horizon=2, n_layers=2))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=40, n_layers=3))
 def test_forecast_equals_the_every_row_forward(case):
     state, contexts = oracle_state(case)
-    args = (state, contexts, case["horizon"], case["use_key_mask"])
+    args = (state, contexts, case["horizon"])
     assert np.array_equal(forward_batch(*args).values, every_row_forward(*args).values)
 
 
 CHUNK_ROWS = (1, 2, 3, 7, 16, 1024, 10**9)
 
 
-def values_and_loss(state, contexts, horizon, use_key_mask):
+def values_and_loss(state, contexts, horizon):
     """Forecast values and the composite loss's bytes, computed on a tape."""
     targets = np.random.default_rng(7).standard_normal((contexts.shape[0], horizon))
     with Graph():
-        forecast = forward_batch(state, contexts, horizon, use_key_mask)
+        forecast = forward_batch(state, contexts, horizon)
         loss = composite_loss(forecast, targets, np.full(targets.shape, 1.0 / targets.size))
     return forecast.values, loss.data.tobytes()
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(oracle_cases())
-@example(dict(ORACLE, sizes=(1, 8), lookback=13, batch=3, horizon=100, n_layers=2, use_key_mask=True))
-@example(dict(ORACLE, sizes=(1, 8), lookback=13, batch=3, horizon=100, n_layers=2, use_key_mask=False))
-@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=1, n_layers=3, use_key_mask=True))
+@example(dict(ORACLE, sizes=(1, 8), lookback=13, batch=3, horizon=100, n_layers=2))
+@example(dict(ORACLE, sizes=(5,), lookback=7, batch=1, horizon=1, n_layers=3))
 def test_any_chunk_size_gives_the_same_bytes(case):
     """The placeholder stream holds ``max(1, ROWS // B)`` positions per
     chunk; every chunking, one position at a time included, gives the
     values and loss of the one-chunk run and the every-row forward."""
     state, contexts = oracle_state(case)
-    args = (state, contexts, case["horizon"], case["use_key_mask"])
+    args = (state, contexts, case["horizon"])
     expected = every_row_forward(*args).values
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "ROWS", 10**9)

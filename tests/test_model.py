@@ -20,6 +20,7 @@ from elastst.model import (
 )
 from elastst.numerics import Graph, Tensor, backward
 from elastst.trope import PeriodSpec
+from every_row import every_row_forward
 
 
 def small_config(sizes=(4, 8), instance_norm=True, lookback=16):
@@ -87,8 +88,8 @@ class TestForward:
     def test_disabling_key_mask_breaks_invariance(self):
         state = ModelState.init(small_config(), seed=4)
         ctx = np.random.default_rng(5).standard_normal((4, 16))
-        base = forward_batch(state, ctx, 8, use_key_mask=False).values
-        ext = forward_batch(state, ctx, 40, use_key_mask=False).values
+        base = every_row_forward(state, ctx, 8, use_key_mask=False).values
+        ext = every_row_forward(state, ctx, 40, use_key_mask=False).values
         assert np.max(np.abs(ext[:, :8] - base)) > 1e-6
 
     def test_constant_context_stays_finite(self):
@@ -234,6 +235,31 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             state_from_arrays(config_from_echo(echo), arrays)
+
+    @pytest.mark.parametrize("sizes, n_layers", [((4, 8), 1), ((1, 3, 32), 3)])
+    def test_parameter_count_is_what_init_allocates(self, sizes, n_layers):
+        config = ElasTSTConfig(
+            patch_sizes=sizes,
+            period_spec=PeriodSpec(1.0, 1000.0, 6),
+            attention=AttentionConfig(d_model=10, n_heads=3, head_dim=6, d_ff=7, n_layers=n_layers),
+            lookback=16,
+        )
+        state = ModelState.init(config)
+        assert model._parameter_count(config) == sum(t.data.size for _, t in state.parameters())
+
+    def test_echo_larger_than_the_blocks_rejected_before_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, ModelState.init(small_config(), seed=18))
+        echo, arrays = read_checkpoint(path)
+        from elastst.model import config_from_echo, state_from_arrays
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was allocated")
+
+        monkeypatch.setattr(ModelState, "init", no_model)
+        for key, value in (("d_model", "1600000"), ("n_layers", "100000000"), ("patch_sizes", "4,8,100000")):
+            with pytest.raises(FormatError, match="describes a model of"):
+                state_from_arrays(config_from_echo({**echo, key: value}), arrays)
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
