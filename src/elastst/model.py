@@ -25,6 +25,7 @@ is on by default; the loss is computed on the normalized scale.
 from __future__ import annotations
 
 import os
+from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,11 +118,9 @@ class ModelState:
         return named
 
     def copy(self) -> "ModelState":
-        clone = ModelState.init(self.config, seed=0)
-        for (_, dst), (_, src) in zip(clone.parameters(), self.parameters()):
-            dst.data = src.data.copy()
-            dst.grad = None
-        return clone
+        """A clone with equal arrays of its own and no gradients."""
+        no_grads = {id(t.grad): None for _, t in self.parameters() if t.grad is not None}
+        return deepcopy(self, no_grads)  # the memo stands None in for every gradient
 
 
 @dataclass
@@ -251,30 +250,45 @@ def _config_echo(config: ElasTSTConfig) -> dict[str, str]:
     }
 
 
-def config_from_echo(echo: dict[str, str]) -> ElasTSTConfig:
+def lookup(path, table: dict, key: str, parse):
+    """``parse(table[key])``, the one checked lookup of checkpoint echo fields
+    and blocks: a missing key, or a value that ``parse`` rejects with a
+    ``ValueError``, is a ``FormatError`` that starts with ``path``."""
+    if key not in table:
+        raise FormatError(f"{path}: checkpoint is missing {key!r}")
     try:
-        attention = AttentionConfig(
-            d_model=int(echo["d_model"]),
-            n_heads=int(echo["n_heads"]),
-            head_dim=int(echo["head_dim"]),
-            d_ff=int(echo["d_ff"]),
-            n_layers=int(echo["n_layers"]),
-        )
-        spec = PeriodSpec(
-            p_min=float(echo["p_min"]),
-            p_max=float(echo["p_max"]),
-            head_dim=int(echo["head_dim"]),
-        )
+        return parse(table[key])
+    except ValueError as exc:
+        raise FormatError(f"{path}: checkpoint {key!r} is invalid: {exc}") from None
+
+
+def finite_block(shape: tuple[int, ...]):
+    """The ``lookup`` parser of a block: a fresh array of ``shape``, all finite."""
+    return lambda arr: np.asarray_chkfinite(arr).reshape(shape).copy()
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
+    def field(key, parse=int):
+        return lookup(path, echo, key, parse)
+
+    try:
+        attention = AttentionConfig(*(field(key) for key in ("d_model", "n_heads", "head_dim", "d_ff", "n_layers")))
         return ElasTSTConfig(
-            patch_sizes=tuple(int(p) for p in echo["patch_sizes"].split(",")),
-            period_spec=spec,
+            patch_sizes=field("patch_sizes", lambda text: tuple(int(p) for p in text.split(","))),
+            period_spec=PeriodSpec(field("p_min", float), field("p_max", float), attention.head_dim),
             attention=attention,
-            lookback=int(echo["lookback"]),
-            instance_norm=echo.get("instance_norm", "true") == "true",
-            instance_norm_eps=float(echo.get("instance_norm_eps", "1e-05")),
+            lookback=field("lookback"),
+            instance_norm=field("instance_norm", _flag),
+            instance_norm_eps=field("instance_norm_eps", float),
         )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"checkpoint config echo is incomplete or invalid: {exc}") from exc
+    except ParameterError as exc:
+        raise FormatError(f"{path}: checkpoint config echo is invalid: {exc}") from None
 
 
 def write_checkpoint(
@@ -366,37 +380,16 @@ def _parameter_count(config: ElasTSTConfig) -> int:
     return coders + a.n_layers * layer + a.head_dim // 2
 
 
-def state_from_arrays(
-    config: ElasTSTConfig, arrays: dict[str, np.ndarray], prefix: str = ""
-) -> ModelState:
-    """The model whose parameter ``name`` is the block ``prefix + name``.
-
-    A ``config`` read from a file could name any size, so it is checked
-    against the blocks before a model is allocated: its model must not
-    need more values than all of ``arrays`` hold.
-    """
-    needed = _parameter_count(config)
-    held = sum(arr.size for arr in arrays.values())
+def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]:
+    """The model in a checkpoint, with its config echo and every block by name.
+    The echo could name a model of any size, so its model must need no more
+    values than all the blocks hold before it is allocated."""
+    echo, arrays = read_checkpoint(path)
+    config = _config_from_echo(path, echo)
+    needed, held = _parameter_count(config), sum(arr.size for arr in arrays.values())
     if needed > held:
-        raise FormatError(f"checkpoint config echo describes a model of {needed} values, its blocks hold {held}")
+        raise FormatError(f"{path}: config echo describes a model of {needed} values, the blocks hold {held}")
     state = ModelState.init(config, seed=0)
     for name, tensor in state.parameters():
-        name = prefix + name
-        if name not in arrays:
-            raise FormatError(f"checkpoint is missing parameter {name!r}")
-        arr = arrays[name]
-        if arr.size != tensor.data.size:
-            raise FormatError(
-                f"checkpoint parameter {name!r} has {arr.size} values, expected {tensor.data.size}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"checkpoint parameter {name!r} contains non-finite values")
-        tensor.data = arr.reshape(tensor.data.shape).copy()
-        tensor.grad = None
-    return state
-
-
-def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]:
-    """The model in a checkpoint, with its config echo and every block by name."""
-    echo, arrays = read_checkpoint(path)
-    return state_from_arrays(config_from_echo(echo), arrays), echo, arrays
+        tensor.data = lookup(path, arrays, name, finite_block(tensor.data.shape))
+    return state, echo, arrays

@@ -33,8 +33,9 @@ from .model import (
     ModelState,
     composite_loss,
     forward_batch,
+    finite_block,
     load_model,
-    state_from_arrays,
+    lookup,
     write_checkpoint,
 )
 from .numerics import Graph, backward
@@ -230,21 +231,35 @@ def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
     write_checkpoint(path, ckpt.state, extra_echo=echo, extra_arrays=extra)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _not_nan(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("is NaN")
+    return value
+
+
 def load_training_checkpoint(path) -> Checkpoint:
     """The training state in ``path``. Its ``log`` is empty: a resumed
     ``train`` reads the earlier rows back from its ``log_path``."""
     state, echo, arrays = load_model(path)
 
-    def blocks(prefix: str) -> list[np.ndarray]:
-        return [t.data for _, t in state_from_arrays(state.config, arrays, prefix).parameters()]
+    def moments(prefix: str) -> list[np.ndarray]:
+        return [lookup(path, arrays, prefix + name, finite_block(t.data.shape)) for name, t in state.parameters()]
 
     return Checkpoint(
         state=state,
-        adam_m=blocks("opt.m."),
-        adam_v=blocks("opt.v."),
-        step_count=int(echo.get("step_count", "0")),
-        epoch=int(echo.get("epoch", "0")),
-        best_val_nmae=float(echo.get("best_val_nmae", "inf")),
+        adam_m=moments("opt.m."),
+        adam_v=moments("opt.v."),
+        epoch=lookup(path, echo, "epoch", _count),  # in file order: an error names the first bad line
+        step_count=lookup(path, echo, "step_count", _count),
+        best_val_nmae=lookup(path, echo, "best_val_nmae", _not_nan),
     )
 
 

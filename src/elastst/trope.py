@@ -101,21 +101,12 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     return nm.record_op(out, (x, logp), backward_fn)
 
 
-def _rotate_values(vec: np.ndarray, t: float, period_values: np.ndarray) -> np.ndarray:
-    ang = TWO_PI * t / period_values
-    c, s = np.cos(ang), np.sin(ang)
-    out = np.empty_like(vec)
-    out[0::2] = vec[0::2] * c - vec[1::2] * s
-    out[1::2] = vec[0::2] * s + vec[1::2] * c
-    return out
-
-
 def relative_score(q, k, m: float, n: float, periods: TunablePeriods) -> float:
-    """Inner product of position-rotated q and k; depends on m - n only."""
+    """Inner product of q and k rotated by ``rotate`` to positions m and n; depends on m - n only."""
     qv = np.asarray(q, dtype=np.float64)
     kv = np.asarray(k, dtype=np.float64)
     d = 2 * periods.half_dim
     if qv.shape != (d,) or kv.shape != (d,):
         raise DimensionError(f"relative_score needs ({d},) vectors, got {qv.shape} and {kv.shape}")
-    pv = periods.periods()
-    return float(np.dot(_rotate_values(qv, m, pv), _rotate_values(kv, n, pv)))
+    qr, kr = (rotate(Tensor(v[None, :]), [t], periods).data[0] for v, t in ((qv, m), (kv, n)))
+    return float(np.dot(qr, kr))

@@ -1,19 +1,23 @@
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
 from elastst import training
 from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, build_parser, main, model_config
-from elastst.errors import ConfigError
+from elastst.errors import ConfigError, FormatError
 from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
 from elastst.trope import PeriodSpec
 
@@ -248,6 +252,43 @@ class TestCorruptCheckpoint:
     def test_non_utf8_config_echo(self, tmp_path, ckpt_bytes, capsys):
         bad = ckpt_bytes.replace(b"d_model=", b"d_mod\xffl=", 1)
         assert self.inspect(tmp_path, bad, capsys) == 3
+
+
+@pytest.fixture(scope="module")
+def trained(workspace, tmp_path_factory):
+    """The training checkpoint of one CLI run on the workspace, and a scratch directory."""
+    _, config_path = workspace
+    root = tmp_path_factory.mktemp("trained")
+    with redirect_stdout(io.StringIO()):
+        assert main(_train(config_path, root)) == 0
+    return (root / "model.ckpt").read_bytes(), root
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_damaged_training_checkpoint_loads_or_names_the_file(trained, data):
+    """A training checkpoint cut at any byte, or with one byte flipped, loads
+    or raises a FormatError that starts with its path; inspect-periods exits
+    0 or 3 with at most one stderr line."""
+    good, root = trained
+    text = good.index(b"\n\n") + 2  # magic line and config echo: most of the structure
+    pos = data.draw(st.one_of(st.integers(0, text), st.integers(0, len(good) - 1)), label="pos")
+    if data.draw(st.booleans(), label="cut"):
+        bad = good[:pos]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        bad = good[:pos] + bytes([good[pos] ^ flip]) + good[pos + 1 :]
+    path = root / "bad.ckpt"
+    path.write_bytes(bad)
+    try:
+        training.load_training_checkpoint(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["inspect-periods", "--checkpoint", str(path)])
+    assert code in (0, 3)
+    assert len(err.getvalue().strip().splitlines()) <= 1 and "Traceback" not in err.getvalue()
 
 
 def _train(config_path, tmp_path, *settings):

@@ -23,6 +23,15 @@ from elastst.trope import PeriodSpec
 from every_row import every_row_forward
 
 
+def rewrite(path, echo, arrays):
+    """Write ``echo`` and the 2-D ``arrays`` to ``path`` in the checkpoint layout."""
+    head = "".join(f"{key}={value}\n" for key, value in echo.items())
+    with open(path, "wb") as f:
+        f.write(f"{CHECKPOINT_MAGIC}\n{head}\n".encode())
+        for name, arr in arrays.items():
+            f.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n".encode() + arr.astype("<f8").tobytes())
+
+
 def small_config(sizes=(4, 8), instance_norm=True, lookback=16):
     return ElasTSTConfig(
         patch_sizes=sizes,
@@ -230,11 +239,55 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, state)
         echo, arrays = read_checkpoint(path)
-        del arrays["trope.log_periods"]
-        from elastst.model import config_from_echo, state_from_arrays
+        arrays["log_periods"] = arrays.pop("trope.log_periods")  # as many values, under another name
+        rewrite(path, echo, arrays)
+        with pytest.raises(FormatError, match="missing 'trope.log_periods'"):
+            load_model(path)
 
-        with pytest.raises(FormatError):
-            state_from_arrays(config_from_echo(echo), arrays)
+    @pytest.mark.parametrize(
+        "case, says",
+        [
+            ("missing block", "is missing 'backbone.0.wo'"),
+            ("wrong size", "'size8.dec.b2' is invalid: cannot reshape array of size 16"),
+            ("non-finite values", "'backbone.0.ffn.w1' is invalid: array must not contain infs or NaNs"),
+            ("oversized echo", "describes a model of"),
+            ("invalid echo value", "'instance_norm' is invalid"),
+            ("missing instance_norm", "is missing 'instance_norm'"),
+            ("missing instance_norm_eps", "is missing 'instance_norm_eps'"),
+        ],
+        ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "invalid_echo_value",
+             "missing_instance_norm", "missing_instance_norm_eps"],
+    )
+    def test_every_load_error_starts_with_the_path(self, tmp_path, case, says):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, ModelState.init(small_config(), seed=19))
+        echo, arrays = read_checkpoint(path)
+        if case == "missing block":  # as many values, under another name
+            arrays["wo"] = arrays.pop("backbone.0.wo")
+        elif case == "wrong size":
+            arrays["size8.dec.b2"] = np.hstack([arrays["size8.dec.b2"]] * 2)
+        elif case == "non-finite values":
+            arrays["backbone.0.ffn.w1"][3, 4] = np.nan
+        elif case == "oversized echo":
+            echo["d_ff"] = "10000000"
+        elif case == "invalid echo value":
+            echo["instance_norm"] = "yes"
+        else:
+            del echo[case.split()[1]]
+        rewrite(path, echo, arrays)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert says in str(err.value)
+
+    def test_load_builds_one_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, ModelState.init(small_config(), seed=20))
+        inits = []
+        init = ModelState.init
+        monkeypatch.setattr(ModelState, "init", lambda *a, **kw: inits.append(1) or init(*a, **kw))
+        load_model(path)
+        assert len(inits) == 1
 
     @pytest.mark.parametrize("sizes, n_layers", [((4, 8), 1), ((1, 3, 32), 3)])
     def test_parameter_count_is_what_init_allocates(self, sizes, n_layers):
@@ -251,15 +304,15 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, ModelState.init(small_config(), seed=18))
         echo, arrays = read_checkpoint(path)
-        from elastst.model import config_from_echo, state_from_arrays
 
         def no_model(*args, **kwargs):
             raise AssertionError("a model was allocated")
 
         monkeypatch.setattr(ModelState, "init", no_model)
         for key, value in (("d_model", "1600000"), ("n_layers", "100000000"), ("patch_sizes", "4,8,100000")):
+            rewrite(path, {**echo, key: value}, arrays)
             with pytest.raises(FormatError, match="describes a model of"):
-                state_from_arrays(config_from_echo({**echo, key: value}), arrays)
+                load_model(path)
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -291,9 +344,22 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
-    def test_state_copy_is_independent(self):
+    def test_state_copy_is_independent(self, monkeypatch):
         state = ModelState.init(small_config(), seed=15)
+        for _, t in state.parameters():
+            t.grad = np.ones_like(t.data)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was drawn")
+
+        monkeypatch.setattr(ModelState, "init", no_model)
         clone = state.copy()
+        pairs = list(zip(clone.parameters(), state.parameters()))
+        assert [name for (name, _), _ in pairs] == [name for name, _ in state.parameters()]
+        for (_, a), (_, b) in pairs:
+            assert a.data.tobytes() == b.data.tobytes() and a.data.shape == b.data.shape
+            assert a.grad is None and a.requires_grad
+            assert not np.shares_memory(a.data, b.data)
         clone.periods.log_periods.data += 1.0
         assert not np.array_equal(
             clone.periods.log_periods.data, state.periods.log_periods.data

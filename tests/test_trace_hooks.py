@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elastst import model, numerics
+from elastst import model, numerics, training
 from elastst.backbone import AttentionConfig
 from elastst.trope import PeriodSpec
 
@@ -51,3 +51,21 @@ def test_installed_tracer_records_a_forward_pass():
     assert totals.calls["model.forward_batch"] == 1
     assert totals.calls["patching.segment_batch"] == 2  # one per patch size
     assert totals.counters["model.forward_batch.patch_rows"] == 2 * (4 + 2 + 2 + 1)
+
+
+def test_installed_tracer_times_the_one_checkpoint_read(tmp_path):
+    config = model.ElasTSTConfig(
+        patch_sizes=(4,),
+        period_spec=PeriodSpec(1.0, 100.0, 4),
+        attention=AttentionConfig(d_model=8, n_heads=1, head_dim=4, d_ff=8, n_layers=1),
+        lookback=8,
+    )
+    state = model.ModelState.init(config)
+    zeros = [np.zeros_like(t.data) for _, t in state.parameters()]
+    path = tmp_path / "best.ckpt"
+    training.save_training_checkpoint(path, training.Checkpoint(state, zeros, zeros, 0, 0, float("inf")))
+    tracer = load_tracer()
+    for load in (model.load_model, training.load_training_checkpoint):
+        with tracer.Tracer().installed() as t:
+            load(path)
+        assert t.take().calls["model.read_checkpoint"] == 1, load.__name__

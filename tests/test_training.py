@@ -34,6 +34,17 @@ def harmonic_oracle(tau, t_max):
     return float(total / t_max)
 
 
+def saved_checkpoint(tmp_path, epoch=2, step_count=6, best_val_nmae=0.5):
+    """A training checkpoint of the tiny model with zero moments, written to ``tmp_path``."""
+    state, _, _ = tiny_setup()
+    zeros = [np.zeros_like(t.data) for _, t in state.parameters()]
+    path = tmp_path / "best.ckpt"
+    training.save_training_checkpoint(
+        path, training.Checkpoint(state, zeros, zeros, step_count, epoch, best_val_nmae)
+    )
+    return path
+
+
 class TestReweight:
     def test_log_approx_vanishes_at_the_end(self):
         assert reweight(720, 720, "log-approx") == 0.0
@@ -303,6 +314,44 @@ class TestTrain:
         with pytest.raises(FormatError) as err:
             load_training_checkpoint(path)
         assert "opt.m.size4.enc.w1" in str(err.value)
+
+    def test_load_builds_one_model(self, tmp_path, monkeypatch):
+        path = saved_checkpoint(tmp_path)
+        inits = []
+        init = ModelState.init
+        monkeypatch.setattr(ModelState, "init", lambda *a, **kw: inits.append(1) or init(*a, **kw))
+        loaded = load_training_checkpoint(path)
+        assert len(inits) == 1
+        assert (loaded.epoch, loaded.step_count, loaded.best_val_nmae) == (2, 6, 0.5)
+
+    @pytest.mark.parametrize(
+        "old, new, says",
+        [
+            ("epoch=2", "epoch=-1", "'epoch' is invalid: -1 is negative"),
+            ("epoch=2\n", "epoch=2\x0c", "'epoch' is invalid"),  # two lines run together
+            ("step_count=6", "step_count=1.5", "'step_count' is invalid"),
+            ("step_count=6", "step_count=", "'step_count' is invalid"),
+            ("best_val_nmae=0.5", "best_val_nmae=nan", "'best_val_nmae' is invalid: is NaN"),
+            ("best_val_nmae=0.5", "best_val_nmae=0.5x", "'best_val_nmae' is invalid"),
+            ("step_count=6\n", "", "is missing 'step_count'"),
+        ],
+        ids=["negative_epoch", "lines_run_together", "fractional_step_count", "empty_step_count",
+             "nan_best", "unparsable_best", "missing_step_count"],
+    )
+    def test_corrupt_training_field_names_the_file(self, tmp_path, old, new, says):
+        path = saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        assert raw.count(old.encode()) == 1
+        path.write_bytes(raw.replace(old.encode(), new.encode()))
+        with pytest.raises(FormatError) as err:
+            load_training_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert says in str(err.value)
+
+    def test_epoch_zero_checkpoint_holds_an_infinite_best(self, tmp_path):
+        path = saved_checkpoint(tmp_path, epoch=0, step_count=0, best_val_nmae=math.inf)
+        loaded = load_training_checkpoint(path)
+        assert (loaded.epoch, loaded.step_count, loaded.best_val_nmae) == (0, 0, math.inf)
 
     def test_rejects_short_training_split(self):
         state, data, cfg = tiny_setup()
