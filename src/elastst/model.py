@@ -24,6 +24,7 @@ is on by default; the loss is computed on the normalized scale.
 
 from __future__ import annotations
 
+import math
 import os
 from copy import deepcopy
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ class ElasTSTConfig:
         object.__setattr__(self, "patch_sizes", tuple(sorted(sizes)))
         if self.lookback < 1:
             raise ParameterError(f"lookback must be >= 1, got {self.lookback}")
+        if not (math.isfinite(self.instance_norm_eps) and self.instance_norm_eps > 0):
+            raise ParameterError(f"instance_norm_eps must be finite and > 0, got {self.instance_norm_eps}")
         if self.period_spec.head_dim != self.attention.head_dim:
             raise ParameterError(
                 f"period_spec.head_dim {self.period_spec.head_dim} differs from "
@@ -263,8 +266,17 @@ def lookup(path, table: dict, key: str, parse):
 
 
 def finite_block(shape: tuple[int, ...]):
-    """The ``lookup`` parser of a block: a fresh array of ``shape``, all finite."""
-    return lambda arr: np.asarray_chkfinite(arr).reshape(shape).copy()
+    """The ``lookup`` parser of a block: a fresh array of ``shape``, all
+    finite, stored as ``write_checkpoint`` writes it (a vector as one row)."""
+    stored = shape if len(shape) == 2 else (1, *shape)
+
+    def parse(arr: np.ndarray) -> np.ndarray:
+        block = np.asarray_chkfinite(arr).reshape(shape)
+        if arr.shape != stored:
+            raise ValueError(f"block is stored as {arr.shape[0]} x {arr.shape[1]}, expected {stored[0]} x {stored[1]}")
+        return block.copy()
+
+    return parse
 
 
 def _flag(text: str) -> bool:

@@ -25,7 +25,9 @@ implementation and are worth knowing before touching anything here:
   carry one placeholder row for every window and position.
 * The backward pass has no cross-shape stability requirement (gradients
   are only compared between runs with identical shapes), so it uses plain
-  vectorized numpy for speed.
+  vectorized numpy for speed. Only leaves (parameters, inputs) keep
+  ``.grad``: each op output's gradient is freed once its node has used it,
+  so a training step's memory peaks at about its forward activations.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class Graph:
 
     Ops record onto the innermost active graph (``with Graph() as g: ...``).
     The record order equals execution order; ``backward`` walks it in
-    reverse. ``clear`` drops the recorded nodes (and with them the
-    intermediate activations); parameters live outside the tape and are
-    untouched.
+    reverse, leaving ``.grad`` on leaves only. ``clear`` drops the recorded
+    nodes (and with them the intermediate activations); parameters live
+    outside the tape and are untouched.
     """
 
     def __init__(self):
@@ -113,23 +115,22 @@ def _accum(t: Tensor, g: np.ndarray, exclusive: bool = False) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add the gradient of ``loss`` into ``grad`` of every leaf it reaches.
 
-    Repeated calls without resetting parameter grads accumulate into them;
-    intermediate grads are recomputed from scratch on each call.
+    Leaves are the requires_grad tensors no op produced (parameters, inputs);
+    repeated calls accumulate into them. An op output's grad is freed as its
+    node runs, so it ends ``None`` and a step peaks at about its activations.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
     graph = loss.graph
     if graph is None:
         raise ContractError("loss was not produced by recorded operations")
-    for out, _, _ in graph._nodes:
-        if out is not loss:
-            out.grad = None
     loss.grad = np.ones_like(loss.data)
     for out, _, backward_fn in reversed(graph._nodes):
         if out.grad is not None:
-            backward_fn(out.grad)
+            g, out.grad = out.grad, None
+            backward_fn(g)
 
 
 # ---------------------------------------------------------------------------

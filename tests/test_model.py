@@ -195,6 +195,34 @@ class TestCompositeLoss:
         for name, p in state.parameters():
             assert p.grad is not None, name
 
+    def test_backward_peaks_well_below_the_forward_activations(self):
+        """Backward frees each op output's gradient once its node has used
+        it, so a training step at the acceptance shape (t_max 96, B=32)
+        holds little beyond its activations; numpy reports to tracemalloc."""
+        config = ElasTSTConfig(
+            patch_sizes=(8, 16, 32),
+            period_spec=PeriodSpec(1.0, 1000.0, 16),
+            attention=AttentionConfig(d_model=64, n_heads=4, head_dim=16, d_ff=128, n_layers=2),
+            lookback=96,
+        )
+        state = ModelState.init(config, seed=21)
+        rng = np.random.default_rng(22)
+        ctx, target = rng.standard_normal((32, 96)), rng.standard_normal((32, 96))
+        weights = np.full((32, 96), 1.0 / (32 * 96))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Graph():
+                loss = composite_loss(forward_batch(state, ctx, 96), target, weights)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activations = after_forward - before
+        assert peak - after_forward < 0.25 * activations
+
 
 class TestCheckpoint:
     def test_round_trip_forward_is_bitwise(self, tmp_path):
@@ -254,9 +282,15 @@ class TestCheckpoint:
             ("invalid echo value", "'instance_norm' is invalid"),
             ("missing instance_norm", "is missing 'instance_norm'"),
             ("missing instance_norm_eps", "is missing 'instance_norm_eps'"),
+            ("transposed block", "'size8.enc.w1' is invalid: block is stored as 16 x 8, expected 8 x 16"),
+            ("vector as column", "'size4.dec.b2' is invalid: block is stored as 4 x 1, expected 1 x 4"),
+            ("instance_norm_eps=nan", "instance_norm_eps must be finite and > 0, got nan"),
+            ("instance_norm_eps=0.0", "instance_norm_eps must be finite and > 0, got 0.0"),
+            ("instance_norm_eps=-1.0", "instance_norm_eps must be finite and > 0, got -1.0"),
         ],
         ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "invalid_echo_value",
-             "missing_instance_norm", "missing_instance_norm_eps"],
+             "missing_instance_norm", "missing_instance_norm_eps", "transposed_block", "vector_as_column",
+             "nan_eps", "zero_eps", "negative_eps"],
     )
     def test_every_load_error_starts_with_the_path(self, tmp_path, case, says):
         path = tmp_path / "model.ckpt"
@@ -272,6 +306,13 @@ class TestCheckpoint:
             echo["d_ff"] = "10000000"
         elif case == "invalid echo value":
             echo["instance_norm"] = "yes"
+        elif case == "transposed block":  # as many values, in another layout
+            arrays["size8.enc.w1"] = arrays["size8.enc.w1"].reshape(16, 8)
+        elif case == "vector as column":
+            arrays["size4.dec.b2"] = arrays["size4.dec.b2"].reshape(4, 1)
+        elif "=" in case:
+            key, value = case.split("=")
+            echo[key] = value
         else:
             del echo[case.split()[1]]
         rewrite(path, echo, arrays)

@@ -247,13 +247,17 @@ class TestBackward:
         backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * first)
 
-    def test_all_reachable_tensors_get_grads(self):
+    def test_only_leaves_keep_grads(self):
         x = param([1.0, 2.0])
+        y = param([3.0, -1.0])  # an input made with requires_grad=True
         with Graph():
             mid = nm.scale(x, 2.0)
-            loss = nm.mean(nm.mul(mid, mid))
+            prod = nm.mul(mid, y)
+            loss = nm.mean(nm.mul(prod, mid))  # mean(4 x^2 y)
         backward(loss)
-        assert x.grad is not None and mid.grad is not None
+        assert x.grad.tolist() == [12.0, -8.0]  # 4 x y
+        assert y.grad.tolist() == [2.0, 8.0]  # 2 x^2
+        assert mid.grad is None and prod.grad is None and loss.grad is None
 
     def test_clear_drops_activations_but_not_parameters(self):
         x = param([1.0, 2.0, 3.0])

@@ -334,9 +334,11 @@ class TestTrain:
             ("best_val_nmae=0.5", "best_val_nmae=nan", "'best_val_nmae' is invalid: is NaN"),
             ("best_val_nmae=0.5", "best_val_nmae=0.5x", "'best_val_nmae' is invalid"),
             ("step_count=6\n", "", "is missing 'step_count'"),
+            ("opt.v.size8.enc.w1 8 16\n", "opt.v.size8.enc.w1 16 8\n",
+             "'opt.v.size8.enc.w1' is invalid: block is stored as 16 x 8, expected 8 x 16"),
         ],
         ids=["negative_epoch", "lines_run_together", "fractional_step_count", "empty_step_count",
-             "nan_best", "unparsable_best", "missing_step_count"],
+             "nan_best", "unparsable_best", "missing_step_count", "transposed_moment"],
     )
     def test_corrupt_training_field_names_the_file(self, tmp_path, old, new, says):
         path = saved_checkpoint(tmp_path)
