@@ -31,18 +31,17 @@ from .model import (
     read_checkpoint,
     write_checkpoint,
 )
-from .numerics import Graph, Tensor, backward, finite_diff_check
+from .numerics import Graph, Tensor, backward
 from .patching import unpatch
 from .training import (
     Checkpoint,
     TrainConfig,
     TrainData,
     adam_step,
-    expected_weight_oracle,
     reweight,
     reweight_vector,
     train,
 )
-from .trope import PeriodSpec, TunablePeriods, init_periods, relative_score, rotate
+from .trope import PeriodSpec, TunablePeriods, init_periods, rotate
 
 __version__ = "0.1.0"

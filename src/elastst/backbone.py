@@ -54,9 +54,11 @@ class AttentionConfig:
             raise ParameterError("d_model and d_ff must be >= 1")
 
 
-def init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    """A trainable (rows, cols) weight drawn from N(0, 1/rows)."""
-    return Tensor(rng.standard_normal((rows, cols)) / math.sqrt(rows), requires_grad=True)
+def init_weight(rng: np.random.Generator, rows: int, cols: int, blocks: int = 1) -> Tensor:
+    """A trainable (rows, blocks·cols) weight drawn from N(0, 1/rows): the
+    ``blocks`` (rows, cols) draws side by side, in draw order."""
+    draws = np.concatenate([rng.standard_normal((rows, cols)) for _ in range(blocks)], axis=1)
+    return Tensor(draws / math.sqrt(rows), requires_grad=True)
 
 
 class MLP:
@@ -75,19 +77,23 @@ class MLP:
         hidden = nm.gelu(nm.bias_add(nm.matmul(x, self.w1), self.b1))
         return nm.bias_add(nm.matmul(hidden, self.w2), self.b2)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
+    def trainable(self) -> list[tuple[str, Tensor]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
 
 class LayerWeights:
-    """One encoder layer: per-head q/k/v maps, output projection, norms, FFN."""
+    """One encoder layer: q/k/v maps, output projection, norms, FFN.
+
+    ``wq``, ``wk`` and ``wv`` are (D, heads·hd) each, every head's map a
+    block of hd columns, in head order.
+    """
 
     def __init__(self, config: AttentionConfig, rng: np.random.Generator):
         d, h, hd = config.d_model, config.n_heads, config.head_dim
         self.config = config
-        self.wq = [init_weight(rng, d, hd) for _ in range(h)]
-        self.wk = [init_weight(rng, d, hd) for _ in range(h)]
-        self.wv = [init_weight(rng, d, hd) for _ in range(h)]
+        self.wq = init_weight(rng, d, hd, h)
+        self.wk = init_weight(rng, d, hd, h)
+        self.wv = init_weight(rng, d, hd, h)
         self.wo = init_weight(rng, h * hd, d)
         self.ln1_gain = Tensor(np.ones(d), requires_grad=True)
         self.ln1_bias = Tensor(np.zeros(d), requires_grad=True)
@@ -95,25 +101,23 @@ class LayerWeights:
         self.ln2_bias = Tensor(np.zeros(d), requires_grad=True)
         self.ffn = MLP(rng, d, config.d_ff, d)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, (q, k, v) in enumerate(zip(self.wq, self.wk, self.wv)):
-            named += [(f"head{i}.wq", q), (f"head{i}.wk", k), (f"head{i}.wv", v)]
-        named += [
+    def trainable(self) -> list[tuple[str, Tensor]]:
+        return [
+            ("wq", self.wq),
+            ("wk", self.wk),
+            ("wv", self.wv),
             ("wo", self.wo),
             ("ln1.gain", self.ln1_gain),
             ("ln1.bias", self.ln1_bias),
             ("ln2.gain", self.ln2_gain),
             ("ln2.bias", self.ln2_bias),
-        ]
-        return named + [(f"ffn.{n}", t) for n, t in self.ffn.parameters()]
+        ] + [(f"ffn.{n}", t) for n, t in self.ffn.trainable()]
 
 
-def _heads(rows: Tensor, mats: list[Tensor]) -> Tensor:
-    """(B, n, D) rows projected by each head's matrix: (B, heads, n, hd)."""
+def _heads(rows: Tensor, w: Tensor, heads: int) -> Tensor:
+    """(B, n, D) rows projected by a fused (D, heads·hd) weight: (B, heads, n, hd)."""
     b, n, _ = rows.data.shape
-    stacked = nm.matmul(rows, nm.concat(mats, axis=1))  # (B, n, heads*hd)
-    split = nm.reshape(stacked, (b, n, len(mats), mats[0].data.shape[1]))
+    split = nm.reshape(nm.matmul(rows, w), (b, n, heads, w.data.shape[1] // heads))
     return nm.transpose(split, (0, 2, 1, 3))
 
 
@@ -122,8 +126,9 @@ def keys_and_values(rows: Tensor, periods: trope.TunablePeriods, weights: LayerW
     transposed to (B, heads, hd, n_k), and their values (B, heads, n_k, hd)."""
     if rows.data.ndim != 3 or rows.data.shape[1] < 1:
         raise ContractError(f"keys need (B, n_k, D) rows with n_k >= 1, got {rows.data.shape}")
-    k = trope.rotate(_heads(rows, weights.wk), np.arange(rows.data.shape[1]), periods)
-    return nm.transpose(k, (0, 1, 3, 2)), _heads(rows, weights.wv)
+    heads = weights.config.n_heads
+    k = trope.rotate(_heads(rows, weights.wk, heads), np.arange(rows.data.shape[1]), periods)
+    return nm.transpose(k, (0, 1, 3, 2)), _heads(rows, weights.wv, heads)
 
 
 def attention(
@@ -148,7 +153,7 @@ def attention(
         raise ContractError(
             f"queries {shape} do not match {n} positions and a batch of {b} (1 stands for a shared row)"
         )
-    q = _heads(queries, weights.wq)
+    q = _heads(queries, weights.wq, heads)
     q = trope.rotate(nm.broadcast(q, (shape[0], heads, n, hd)), positions, periods)
     q = nm.broadcast(q, (b, heads, n, hd))
 

@@ -41,4 +41,4 @@ def tiny_report(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         forecast = forward_batch(state, context[None, :], TINY_HORIZON)
         return composite_loss(forecast, target, weights)
 
-    return finite_diff_report(loss, state.parameters(), step=step)
+    return finite_diff_report(loss, state.trainable(), step=step)

@@ -82,9 +82,9 @@ class SizeCoder:
         self.enc = MLP(rng, patch_size, d_model, d_model)
         self.dec = MLP(rng, d_model, d_model, patch_size)
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named = [(f"enc.{n}", t) for n, t in self.enc.parameters()]
-        return named + [(f"dec.{n}", t) for n, t in self.dec.parameters()]
+    def trainable(self) -> list[tuple[str, Tensor]]:
+        named = [(f"enc.{n}", t) for n, t in self.enc.trainable()]
+        return named + [(f"dec.{n}", t) for n, t in self.dec.trainable()]
 
 
 class ModelState:
@@ -109,20 +109,49 @@ class ModelState:
         layers = [LayerWeights(config.attention, rng) for _ in range(config.attention.n_layers)]
         return cls(config, coders, layers, init_periods(config.period_spec))
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Fixed, documented order: per patch size ascending (encoder then
-        decoder), backbone layers in depth order, rotary periods last."""
+    def trainable(self) -> list[tuple[str, Tensor]]:
+        """The tensors that take gradients, in a fixed, documented order: per
+        patch size ascending (encoder then decoder), backbone layers in depth
+        order, rotary periods last. A layer's query, key and value maps are
+        one (D, heads·hd) weight each, ``wq``, ``wk`` and ``wv``."""
         named: list[tuple[str, Tensor]] = []
         for p in self.config.patch_sizes:
-            named += [(f"size{p}.{n}", t) for n, t in self.coders[p].parameters()]
+            named += [(f"size{p}.{n}", t) for n, t in self.coders[p].trainable()]
         for i, layer in enumerate(self.layers):
-            named += [(f"backbone.{i}.{n}", t) for n, t in layer.parameters()]
+            named += [(f"backbone.{i}.{n}", t) for n, t in layer.trainable()]
         named.append(("trope.log_periods", self.periods.log_periods))
         return named
 
+    def blocks(self, named: list[tuple[str, np.ndarray]]) -> list[tuple[str, np.ndarray]]:
+        """Arrays named and ordered as ``trainable()`` (weights, gradients or
+        moments) as the checkpoint's blocks, in file order. A layer's ``wq``,
+        ``wk`` and ``wv`` become column views ``head{i}.wq``, ``head{i}.wk``,
+        ``head{i}.wv``, head by head; every other array passes through."""
+        heads, hd = self.config.attention.n_heads, self.config.attention.head_dim
+        arrays = dict(named)
+        out = []
+        for name, arr in named:
+            layer, _, leaf = name.rpartition(".")
+            if leaf == "wq":
+                out += [
+                    (f"{layer}.head{i}.{w}", arrays[f"{layer}.{w}"][:, i * hd : (i + 1) * hd])
+                    for i in range(heads)
+                    for w in ("wq", "wk", "wv")
+                ]
+            elif leaf not in ("wk", "wv"):
+                out.append((name, arr))
+        return out
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        """The parameters by checkpoint block, the unit of the file and of
+        Adam: ``blocks`` of the ``trainable()`` weights. Each tensor shares
+        its block's memory, so in-place writes reach the model; gradients
+        accumulate on ``trainable()``."""
+        return [(name, Tensor(block)) for name, block in self.blocks([(n, t.data) for n, t in self.trainable()])]
+
     def copy(self) -> "ModelState":
         """A clone with equal arrays of its own and no gradients."""
-        no_grads = {id(t.grad): None for _, t in self.parameters() if t.grad is not None}
+        no_grads = {id(t.grad): None for _, t in self.trainable() if t.grad is not None}
         return deepcopy(self, no_grads)  # the memo stands None in for every gradient
 
 
@@ -403,5 +432,5 @@ def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]
         raise FormatError(f"{path}: config echo describes a model of {needed} values, the blocks hold {held}")
     state = ModelState.init(config, seed=0)
     for name, tensor in state.parameters():
-        tensor.data = lookup(path, arrays, name, finite_block(tensor.data.shape))
+        tensor.data[...] = lookup(path, arrays, name, finite_block(tensor.data.shape))
     return state, echo, arrays

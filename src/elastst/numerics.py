@@ -28,6 +28,8 @@ implementation and are worth knowing before touching anything here:
   vectorized numpy for speed. Only leaves (parameters, inputs) keep
   ``.grad``: each op output's gradient is freed once its node has used it,
   so a training step's memory peaks at about its forward activations.
+  A closure owns the gradient it is handed, so it may work in it in place
+  and pass it on without a copy (see ``_accum``).
 """
 
 from __future__ import annotations
@@ -104,8 +106,17 @@ def record_op(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable[[np
 
 
 def _accum(t: Tensor, g: np.ndarray, exclusive: bool = False) -> None:
-    """Accumulate into ``t.grad``. ``exclusive`` marks arrays the caller
-    freshly allocated and will not touch again, letting us adopt them."""
+    """Accumulate ``g`` into ``t.grad``.
+
+    ``exclusive`` marks an array that nothing else holds, so a first
+    gradient adopts it instead of copying it. That is any array the closure
+    allocated, and also its own ``g`` or a view of it, since ``backward``
+    takes ``g`` off the op's output first: reshape, transpose, scale and
+    ``bias_add`` hand on ``g`` or a view, concat a disjoint slice to each
+    input. ``add`` hands ``g`` to ``a``; ``b`` copies it unless ``a`` takes
+    no gradient, or the two would share one buffer and each add the other's
+    later gradients. When ``b`` is ``a`` it adds into the adopted array.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -211,8 +222,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, g)
+        _accum(a, g, exclusive=True)
+        _accum(b, g, exclusive=not a.requires_grad)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -222,8 +233,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, -g)
+        _accum(a, g, exclusive=True)
+        _accum(b, -g, exclusive=True)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -233,8 +244,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum(a, g * b.data, exclusive=True)
+        _accum(b, g * a.data, exclusive=True)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -245,7 +256,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g * c)
+        g *= c
+        _accum(a, g, exclusive=True)
 
     return record_op(out, (a,), backward_fn)
 
@@ -257,9 +269,9 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data + b.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, g)
+        _accum(x, g, exclusive=True)
         if b.requires_grad:
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0), exclusive=True)
 
     return record_op(out, (x, b), backward_fn)
 
@@ -278,7 +290,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for t, s in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + s)
-            _accum(t, g[tuple(sl)])
+            _accum(t, g[tuple(sl)], exclusive=True)  # the slices are disjoint
             start += s
 
     return record_op(out, tuple(tensors), backward_fn)
@@ -321,7 +333,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, g.reshape(x.data.shape))
+        _accum(x, g.reshape(x.data.shape), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -331,7 +343,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, np.transpose(g, inverse))
+        _accum(x, np.transpose(g, inverse), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -343,14 +355,27 @@ _GELU_A = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation; the gradient is of the approximation."""
     xd = x.data
-    t = np.tanh(_GELU_C * (xd + _GELU_A * (xd * xd) * xd))
+    t = xd * xd  # t = tanh(C * (x + A * x² * x)), built in one buffer
+    t *= _GELU_A
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
     out = Tensor(0.5 * xd * (1.0 + t))
 
     def backward_fn(g: np.ndarray) -> None:
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        dx = 1.0 + t
-        dx += xd * (1.0 - t * t) * du
-        dx *= 0.5 * g
+        du = xd * (3.0 * _GELU_A)  # du = C * (1 + 3A * x * x)
+        du *= xd
+        du += 1.0
+        du *= _GELU_C
+        term = t * t  # term = x * (1 - t²) * du
+        np.subtract(1.0, term, out=term)
+        term *= xd
+        term *= du
+        dx = np.add(t, 1.0, out=du)
+        dx += term
+        g *= 0.5
+        dx *= g
         _accum(x, dx, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
@@ -365,13 +390,17 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] < 1:
         raise DimensionError(f"softmax_lastdim needs a non-empty last axis, got {xd.shape}")
-    e = np.exp(xd - np.max(xd, axis=-1, keepdims=True))
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = xd - np.max(xd, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward_fn(g: np.ndarray) -> None:
-        inner = np.sum(g * y, axis=-1, keepdims=True)
-        _accum(x, y * (g - inner), exclusive=True)
+        gy = g * y
+        inner = np.sum(gy, axis=-1, keepdims=True)
+        dx = np.subtract(g, inner, out=gy)
+        dx *= y
+        _accum(x, dx, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -388,40 +417,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xd = x.data
     mu = np.sum(xd, axis=-1, keepdims=True) / d
     xc = xd - mu
-    var = np.sum(xc * xc, axis=-1, keepdims=True) / d
+    sq = xc * xc
+    var = np.sum(sq, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    ynorm = xc * inv
-    out = Tensor(ynorm * gain.data + bias.data)
+    ynorm = xc
+    ynorm *= inv
+    np.multiply(ynorm, gain.data, out=sq)  # the output, over the squares
+    sq += bias.data
+    out = Tensor(sq)
 
     def backward_fn(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accum(gain, np.sum(g * ynorm, axis=tuple(range(g.ndim - 1))))
+        lead = tuple(range(g.ndim - 1))
         if bias.requires_grad:
-            _accum(bias, np.sum(g, axis=tuple(range(g.ndim - 1))))
+            _accum(bias, np.sum(g, axis=lead), exclusive=True)
+        tmp = g * ynorm
+        if gain.requires_grad:
+            _accum(gain, np.sum(tmp, axis=lead), exclusive=True)
         if x.requires_grad:
-            gg = g * gain.data
+            gg = np.multiply(g, gain.data, out=g)
             mean_gg = np.mean(gg, axis=-1, keepdims=True)
-            mean_ggy = np.mean(gg * ynorm, axis=-1, keepdims=True)
+            mean_ggy = np.mean(np.multiply(gg, ynorm, out=tmp), axis=-1, keepdims=True)
             dx = gg
             dx -= mean_gg
-            dx -= ynorm * mean_ggy
+            dx -= np.multiply(ynorm, mean_ggy, out=tmp)
             dx *= inv
             _accum(x, dx, exclusive=True)
 
     return record_op(out, (x, gain, bias), backward_fn)
-
-
-def mean(x: Tensor) -> Tensor:
-    """Mean of all entries."""
-    n = x.data.size
-    if n == 0:
-        raise DimensionError("mean of an empty tensor")
-    out = Tensor(np.sum(x.data) / n)
-
-    def backward_fn(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, float(g) / n))
-
-    return record_op(out, (x,), backward_fn)
 
 
 def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
@@ -450,21 +472,18 @@ def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
 # verification harness
 
 
-def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` evaluates the scalar loss from the current contents of ``params``.
-    Relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    return max(finite_diff_report(f, [(str(i), p) for i, p in enumerate(params)], step).values())
-
-
 def finite_diff_report(
     f: Callable[[], Tensor],
     named_params: Sequence[tuple[str, Tensor]],
     step: float = 1e-5,
 ) -> dict[str, float]:
-    """Per-parameter-group version of :func:`finite_diff_check`."""
+    """Max relative error between analytic and central-difference gradients,
+    per named parameter.
+
+    ``f`` evaluates the scalar loss from the current contents of the
+    parameters. Relative error is |analytic - numeric| / max(1e-8,
+    |analytic| + |numeric|).
+    """
     if step <= 0:
         raise ParameterError(f"finite-difference step must be positive, got {step}")
     for _, p in named_params:

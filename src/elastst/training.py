@@ -117,30 +117,6 @@ def reweight_vector(t_max: int, mode: str = "log-approx", rng: np.random.Generat
     return np.array([reweight(tau, t_max, mode, t_s=t_s) for tau in range(1, t_max + 1)])
 
 
-def expected_weight_oracle(
-    tau: int,
-    t_max: int,
-    n_samples: int,
-    seed: int = 0,
-    return_se: bool = False,
-):
-    """Monte Carlo estimate of the expected weight at position ``tau`` when a
-    horizon is drawn uniformly from [1, t_max] and positions inside it get
-    weight 1/T_s. Independent of the harmonic computation by construction."""
-    if n_samples < 1:
-        raise ParameterError(f"need at least one sample, got {n_samples}")
-    if not 1 <= tau <= t_max:
-        raise ParameterError(f"tau must be in [1, {t_max}], got {tau}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.integers(1, t_max + 1, size=n_samples)
-    w = np.where(draws >= tau, 1.0 / draws, 0.0)
-    estimate = float(w.mean())
-    if not return_se:
-        return estimate
-    se = float(w.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return estimate, se
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -313,7 +289,8 @@ def train(
         best = math.inf
         log = []
 
-    names, params = zip(*state.parameters())
+    leaves = state.trainable()  # gradients accumulate here
+    names, params = zip(*state.parameters())  # Adam updates these views of the leaves in place
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best, log)
     fixed_weights = (
         None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)
@@ -337,8 +314,8 @@ def train(
             )
             weight_matrix = np.broadcast_to(w / config.batch_size, targets.shape)
 
-            for p in params:
-                p.grad = None
+            for _, t in leaves:
+                t.grad = None
             graph = Graph()
             with graph:
                 forecast = forward_batch(state, contexts, config.t_max)
@@ -350,7 +327,9 @@ def train(
                     f"training loss is {step_loss} at epoch {epoch}, step {step_count}"
                 )
             backward(loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            grads = [g for _, g in state.blocks(
+                [(n, t.grad if t.grad is not None else np.zeros_like(t.data)) for n, t in leaves]
+            )]
             for name, g in zip(names, grads):
                 if not np.all(np.isfinite(g)):
                     raise FloatingPointError(

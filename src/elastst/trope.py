@@ -99,14 +99,3 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
             nm._accum(logp, -(dphi * ang).reshape(-1, half).sum(axis=0), exclusive=True)
 
     return nm.record_op(out, (x, logp), backward_fn)
-
-
-def relative_score(q, k, m: float, n: float, periods: TunablePeriods) -> float:
-    """Inner product of q and k rotated by ``rotate`` to positions m and n; depends on m - n only."""
-    qv = np.asarray(q, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    d = 2 * periods.half_dim
-    if qv.shape != (d,) or kv.shape != (d,):
-        raise DimensionError(f"relative_score needs ({d},) vectors, got {qv.shape} and {kv.shape}")
-    qr, kr = (rotate(Tensor(v[None, :]), [t], periods).data[0] for v, t in ((qv, m), (kv, n)))
-    return float(np.dot(qr, kr))

@@ -37,10 +37,9 @@ def every_row_block(h, n_keys, periods, weights, first_query=0):
     h_keys = nm.slice_axis(normed, 1, 0, n_keys)
     h_queries = nm.slice_axis(normed, 1, first_query, n) if first_query else normed
 
-    def project(x, mats):
+    def project(x, w):
         rows = x.data.shape[1]
-        stacked = nm.matmul(x, nm.concat(mats, axis=1))
-        return nm.transpose(nm.reshape(stacked, (b, rows, heads, hd)), (0, 2, 1, 3))
+        return nm.transpose(nm.reshape(nm.matmul(x, w), (b, rows, heads, hd)), (0, 2, 1, 3))
 
     q = trope.rotate(project(h_queries, weights.wq), np.arange(first_query, n), periods)
     k = trope.rotate(project(h_keys, weights.wk), np.arange(n_keys), periods)

@@ -25,9 +25,10 @@ from elastst.model import (
 )
 from elastst.numerics import Tensor
 from elastst.patching import grid_dims, unpatch
-from elastst.training import TrainConfig, TrainData, expected_weight_oracle, reweight, train
-from elastst.trope import PeriodSpec, init_periods, relative_score
+from elastst.training import TrainConfig, TrainData, reweight, train
+from elastst.trope import PeriodSpec, init_periods
 from every_row import every_row_forward
+from helpers import expected_weight_oracle, relative_score
 
 LOOKBACK = 96
 EVAL_HORIZONS = (192, 336, 720, 1024)

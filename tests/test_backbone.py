@@ -4,8 +4,9 @@ import pytest
 import elastst.numerics as nm
 from elastst.backbone import AttentionConfig, LayerWeights, attention, keys_and_values, transformer_block
 from elastst.errors import ContractError, ParameterError
-from elastst.numerics import Tensor, finite_diff_check
+from elastst.numerics import Tensor
 from elastst.trope import PeriodSpec, init_periods
+from helpers import finite_diff_check
 
 
 CFG = AttentionConfig(d_model=16, n_heads=2, head_dim=8, d_ff=24, n_layers=1)
@@ -17,6 +18,11 @@ def make_weights(seed=0, cfg=CFG):
 
 def make_periods(cfg=CFG):
     return init_periods(PeriodSpec(1.0, 1000.0, cfg.head_dim))
+
+
+def head_block(w, head, cfg=CFG):
+    """Head ``head``'s (D, hd) map: its columns of a fused q/k/v weight."""
+    return w.data[:, head * cfg.head_dim : (head + 1) * cfg.head_dim]
 
 
 def rand_h(n, seed=1, cfg=CFG):
@@ -63,7 +69,7 @@ class TestMaskedAttention:
         weights = make_weights()
         hd = rand_h(1)
         out, _ = attend(Tensor(hd), 1, make_periods(), weights)
-        v = np.concatenate([hd[0] @ w.data for w in weights.wv], axis=1)
+        v = np.concatenate([hd[0] @ head_block(weights.wv, head) for head in range(CFG.n_heads)], axis=1)
         expected = v @ weights.wo.data
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
@@ -135,7 +141,7 @@ class TestMaskedAttention:
         # rebuild the attention weights from first principles: project,
         # score via the rotation-based relative score, scale by sqrt(d),
         # mask the non-key columns, softmax - and compare with the module
-        from elastst.trope import relative_score
+        from helpers import relative_score
 
         weights = make_weights(seed=30)
         periods = make_periods()
@@ -143,8 +149,8 @@ class TestMaskedAttention:
         hd = rand_h(n, seed=31)
         _, probs = attend(Tensor(hd), n_keys, periods, weights)
         for head in range(CFG.n_heads):
-            q = hd[0] @ weights.wq[head].data
-            k = hd[0] @ weights.wk[head].data
+            q = hd[0] @ head_block(weights.wq, head)
+            k = hd[0] @ head_block(weights.wk, head)
             scores = np.empty((n, n))
             for m in range(n):
                 for j in range(n):
@@ -169,7 +175,7 @@ class TestMaskedAttention:
 class TestTransformerBlock:
     def test_zero_weights_give_residual_identity(self):
         weights = make_weights()
-        for w in weights.wq + weights.wk + weights.wv:
+        for w in (weights.wq, weights.wk, weights.wv):
             w.data[:] = 0.0
         weights.wo.data[:] = 0.0
         weights.ffn.w1.data[:] = 0.0
@@ -198,7 +204,7 @@ class TestTransformerBlock:
                 loss = nm.add(loss, nm.mse(out_ctx, nm.slice_axis(targets, 1, 0, 2), nm.slice_axis(ones, 1, 0, 2)))
             return loss
 
-        params = [ctx, ph, periods.log_periods, weights.wq[0], weights.wk[1], weights.wo,
+        params = [ctx, ph, periods.log_periods, weights.wq, weights.wk, weights.wo,
                   weights.ln1_gain, weights.ffn.w1, weights.ffn.b2]
         assert finite_diff_check(f, params, step=1e-5) < 1e-4
 

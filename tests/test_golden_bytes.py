@@ -37,6 +37,13 @@ moved by at most 2.2e-16 relative (on a 3-layer model also layer 1's
 ``wq``, ``wo``, ``ln2`` and FFN and the rotary periods). The decoders and the last layer's blocks
 but ``ln1`` still keep the bytes of the every-row reference forward.
 
+Each layer's query, key and value maps are now one fused weight each.
+``forward_loss_and_gradients`` maps their gradients through
+``ModelState.blocks``, the mapping the checkpoint writer uses, to the
+per-head column blocks, so the names and bytes hashed are the per-head
+ones and ``GRADIENTS`` did not change: every gradient element kept its
+bytes.
+
 The digests were taken with numpy 2.4 on OpenBLAS 0.3.31, one BLAS
 thread. Another BLAS, or another version of this one, may give other
 bytes for the same GEMM calls; on such a machine these digests do not
@@ -111,17 +118,19 @@ def test_forward_values(state, contexts, horizon, use_key_mask):
 
 
 def forward_loss_and_gradients(state, contexts, forward=forward_batch):
-    """H=96 forward values, composite loss and every gradient by name."""
+    """H=96 forward values, composite loss and every gradient by checkpoint
+    block name: each fused q/k/v gradient as its per-head column blocks."""
     targets = np.random.default_rng(np.random.SeedSequence(1)).standard_normal((32, 96))
     weights = np.broadcast_to(reweight_vector(96) / 32, targets.shape)
-    for _, p in state.parameters():
+    leaves = state.trainable()
+    for _, p in leaves:
         p.grad = None
     with Graph():
         forecast = forward(state, contexts, 96)
         loss = composite_loss(forecast, targets, weights)
     backward(loss)
-    grads = {name: p.grad for name, p in state.parameters()}
-    for _, p in state.parameters():
+    grads = dict(state.blocks([(name, p.grad) for name, p in leaves]))
+    for _, p in leaves:
         p.grad = None
     return forecast.values, loss.data, grads
 

@@ -186,13 +186,13 @@ class TestCompositeLoss:
         rng = np.random.default_rng(9)
         ctx = rng.standard_normal((2, 16))
         target = rng.standard_normal((2, 8))
-        for _, p in state.parameters():
+        for _, p in state.trainable():
             p.grad = None
         with Graph():
             fc = forward_batch(state, ctx, 8)
             loss = composite_loss(fc, target, np.full(8, 1.0 / 8))
         backward(loss)
-        for name, p in state.parameters():
+        for name, p in state.trainable():
             assert p.grad is not None, name
 
     def test_backward_peaks_well_below_the_forward_activations(self):
@@ -225,6 +225,30 @@ class TestCompositeLoss:
 
 
 class TestCheckpoint:
+    def test_head_blocks_are_column_slices_of_the_fused_weights(self, tmp_path):
+        config = small_config()
+        state = ModelState.init(config, seed=23)
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, state)
+        _, arrays = read_checkpoint(path)
+        hd = config.attention.head_dim
+        for w in ("wq", "wk", "wv"):
+            fused = getattr(state.layers[0], w).data
+            for head in range(config.attention.n_heads):
+                block = arrays[f"backbone.0.head{head}.{w}"]
+                assert block.tobytes() == fused[:, head * hd : (head + 1) * hd].tobytes()
+        names = [n for n in arrays if n.startswith("backbone.0.")][:7]
+        assert names == [f"backbone.0.head{h}.{w}" for h in range(2) for w in ("wq", "wk", "wv")] + ["backbone.0.wo"]
+
+    def test_write_read_write_gives_the_same_bytes(self, tmp_path):
+        state = ModelState.init(small_config(), seed=24)
+        for _, t in state.trainable():
+            t.data += np.random.default_rng(25).uniform(-0.1, 0.1, t.data.shape)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        write_checkpoint(first, state)
+        write_checkpoint(second, load_model(first)[0])
+        assert first.read_bytes() == second.read_bytes()
+
     def test_round_trip_forward_is_bitwise(self, tmp_path):
         state = ModelState.init(small_config(), seed=11)
         path = tmp_path / "model.ckpt"
@@ -339,6 +363,7 @@ class TestCheckpoint:
             lookback=16,
         )
         state = ModelState.init(config)
+        assert model._parameter_count(config) == sum(t.data.size for _, t in state.trainable())
         assert model._parameter_count(config) == sum(t.data.size for _, t in state.parameters())
 
     def test_echo_larger_than_the_blocks_rejected_before_allocating(self, tmp_path, monkeypatch):
@@ -387,7 +412,7 @@ class TestCheckpoint:
 
     def test_state_copy_is_independent(self, monkeypatch):
         state = ModelState.init(small_config(), seed=15)
-        for _, t in state.parameters():
+        for _, t in state.trainable():
             t.grad = np.ones_like(t.data)
 
         def no_model(*args, **kwargs):
@@ -395,8 +420,8 @@ class TestCheckpoint:
 
         monkeypatch.setattr(ModelState, "init", no_model)
         clone = state.copy()
-        pairs = list(zip(clone.parameters(), state.parameters()))
-        assert [name for (name, _), _ in pairs] == [name for name, _ in state.parameters()]
+        pairs = list(zip(clone.trainable(), state.trainable()))
+        assert [name for (name, _), _ in pairs] == [name for name, _ in state.trainable()]
         for (_, a), (_, b) in pairs:
             assert a.data.tobytes() == b.data.tobytes() and a.data.shape == b.data.shape
             assert a.grad is None and a.requires_grad

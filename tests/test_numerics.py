@@ -1,13 +1,17 @@
 import gc
 import math
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastst.numerics as nm
 from elastst.errors import ContractError, DimensionError
-from elastst.numerics import Graph, Tensor, backward, finite_diff_check
+from elastst.numerics import Graph, Tensor, backward
+from helpers import finite_diff_check, mean
 
 
 def param(arr):
@@ -16,7 +20,7 @@ def param(arr):
 
 def square_mean(t):
     # generic scalar head for gradient checks
-    return nm.mean(nm.mul(t, t))
+    return mean(nm.mul(t, t))
 
 
 class TestMatmul:
@@ -40,7 +44,7 @@ class TestMatmul:
         b = param(rng.uniform(-2, 2, (4, 2)))
 
         def f():
-            return nm.scale(nm.mean(nm.matmul(a, b)), 6.0)  # sum of all entries
+            return nm.scale(mean(nm.matmul(a, b)), 6.0)  # sum of all entries
 
         assert finite_diff_check(f, [a, b], step=1e-5) < 1e-6
 
@@ -175,7 +179,7 @@ class TestElementwiseOps:
         checks.append((lambda: square_mean(nm.transpose(x, (1, 0))), [x]))
         row = param(rng.uniform(-2, 2, (1, 4)))
         checks.append((lambda: square_mean(nm.mul(nm.broadcast(row, (3, 4)), x)), [row, x]))
-        checks.append((lambda: nm.mean(nm.mul(x, x)), [x]))
+        checks.append((lambda: mean(nm.mul(x, x)), [x]))
         w = param(rng.uniform(0.1, 1.0, (3, 4)))
         t = param(rng.uniform(-2, 2, (3, 4)))
         checks.append((lambda: nm.mse(x, t, w), [x, t, w]))
@@ -253,7 +257,7 @@ class TestBackward:
         with Graph():
             mid = nm.scale(x, 2.0)
             prod = nm.mul(mid, y)
-            loss = nm.mean(nm.mul(prod, mid))  # mean(4 x^2 y)
+            loss = mean(nm.mul(prod, mid))  # mean(4 x^2 y)
         backward(loss)
         assert x.grad.tolist() == [12.0, -8.0]  # 4 x y
         assert y.grad.tolist() == [2.0, 8.0]  # 2 x^2
@@ -264,7 +268,7 @@ class TestBackward:
         graph = Graph()
         with graph:
             mid = nm.scale(x, 2.0)
-            loss = nm.mean(mid)
+            loss = mean(mid)
         backward(loss)
         ref = weakref.ref(mid)
         del mid, loss
@@ -272,6 +276,113 @@ class TestBackward:
         gc.collect()
         assert ref() is None
         assert x.data.tolist() == [1.0, 2.0, 3.0] and x.grad is not None
+
+
+def copying_accum(t, g, exclusive=False):
+    """``numerics._accum`` as it was before gradients were adopted: a
+    tensor's first gradient is always a copy."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            t.grad += g
+
+
+def leaf_grads_after_two_backwards(build, accum):
+    """Each leaf's gradient after one and after two ``backward`` calls of
+    the loss that ``build(leaves)`` returns, with ``accum`` as ``_accum``."""
+    rng = np.random.default_rng(0)
+    leaves = [param(rng.uniform(-2, 2, (2, 3, 4))) for _ in range(2)] + [param(rng.uniform(-1, 1, 4)) for _ in range(2)]
+    with patch.object(nm, "_accum", accum), Graph():
+        loss = build(leaves)
+        backward(loss)
+        first = [None if t.grad is None else t.grad.copy() for t in leaves]
+        backward(loss)
+    return leaves, first, [t.grad for t in leaves]
+
+
+def squared(t, seed=1):
+    """A weighted squared-error head on ``t``: a gradient that is neither
+    all ones nor symmetric."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, t.data.shape)
+    return nm.mse(t, Tensor(np.zeros(t.data.shape)), Tensor(w))
+
+
+def build_from_choices(choices):
+    """A graph drawn by ``choices``: each op takes pool tensors, so one
+    tensor often feeds several ops; every tensor made feeds the loss."""
+
+    def build(leaves):
+        x1, x2, b, gain = leaves
+        pool = [x1, x2]
+        for c in choices:
+            t = pool[c % len(pool)]
+            same = [u for u in pool if u.data.shape == t.data.shape]
+            u = same[(c // 7) % len(same)]
+            op = (c // 3) % 8
+            if op == 0:
+                out = nm.add(t, u)
+            elif op == 1:
+                out = nm.concat([t, u], axis=(c // 5) % t.data.ndim)
+            elif op == 2:
+                out = nm.reshape(t, t.data.shape[::-1])
+            elif op == 3:
+                out = nm.transpose(t, tuple(reversed(range(t.data.ndim))))
+            elif op == 4 and t.data.shape[-1] == 4:
+                out = nm.bias_add(t, b)
+            elif op == 5 and t.data.shape[-1] == 4:
+                out = nm.layer_norm(t, gain, b)
+            elif op == 6:
+                out = nm.gelu(nm.scale(t, 0.7))
+            else:
+                out = nm.softmax_lastdim(t)
+            pool.append(out)
+        loss = squared(pool[-1])
+        for i, t in enumerate(pool[2:-1]):
+            loss = nm.add(loss, squared(t, seed=i + 2))
+        return loss
+
+    return build
+
+
+EXPLICIT_GRAPHS = {
+    "add(x, x)": lambda v: squared(nm.add(v[0], v[0])),
+    "add(x, y)": lambda v: squared(nm.add(v[0], v[1])),
+    "add(x, x) feeding add(x, .)": lambda v: squared(nm.add(v[0], nm.add(v[0], v[0]))),
+    "concat([x, x])": lambda v: squared(nm.concat([v[0], v[0]], axis=1)),
+    "concat([x, y, x])": lambda v: squared(nm.concat([v[0], v[1], v[0]], axis=2)),
+    "reshape and transpose chain": lambda v: squared(
+        nm.add(nm.transpose(nm.reshape(nm.transpose(v[0], (2, 0, 1)), (4, 6)), (1, 0)), nm.reshape(v[1], (6, 4)))
+    ),
+    "bias_add": lambda v: nm.add(squared(nm.bias_add(v[0], v[2])), squared(nm.bias_add(nm.scale(v[0], 2.0), v[2]))),
+}
+
+
+class TestGradientBuffers:
+    """Adopted gradients: no two leaves share a gradient buffer, and every
+    gradient has the bytes the copying ``_accum`` gave, after one
+    ``backward`` and after a second one that adds to it."""
+
+    def check(self, build):
+        _, want_first, want_second = leaf_grads_after_two_backwards(build, copying_accum)
+        leaves, first, second = leaf_grads_after_two_backwards(build, nm._accum)
+        for i, (a, b) in enumerate(zip(first + second, want_first + want_second)):
+            assert (a is None) == (b is None), i
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), i
+        grads = [t.grad for t in leaves if t.grad is not None]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h)
+
+    @pytest.mark.parametrize("name", list(EXPLICIT_GRAPHS))
+    def test_explicit_graphs(self, name):
+        self.check(EXPLICIT_GRAPHS[name])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=6))
+    def test_drawn_graphs(self, choices):
+        self.check(build_from_choices(choices))
 
 
 class TestFiniteDiff:
@@ -285,12 +396,12 @@ class TestFiniteDiff:
     def test_constant_function_reports_zero(self):
         p = param([1.0, 2.0])
         c = Tensor(np.ones(2))
-        f = lambda: nm.mean(nm.mul(c, c))
+        f = lambda: mean(nm.mul(c, c))
 
         # the constant loss never touches p, so analytic and numeric are both 0
         def f_with_p():
             nm.scale(p, 0.0)  # touch p so it is recorded, contributes nothing
-            return nm.mean(nm.mul(c, c))
+            return mean(nm.mul(c, c))
 
         assert finite_diff_check(f_with_p, [p], step=1e-5) == 0.0
 

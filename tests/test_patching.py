@@ -5,6 +5,7 @@ import elastst.numerics as nm
 from elastst.errors import DimensionError, ParameterError
 from elastst.numerics import Tensor
 from elastst.patching import grid_dims, segment_batch, unpatch
+from helpers import mean
 
 
 def context(length):
@@ -74,7 +75,7 @@ class TestUnpatch:
     def test_gradient_flows_to_kept_positions_only(self):
         rows = Tensor(np.random.default_rng(15).standard_normal((2, 3, 4)), requires_grad=True)
         with nm.Graph():
-            nm.backward(nm.mean(unpatch(rows, 10)))
+            nm.backward(mean(unpatch(rows, 10)))
         assert np.all(rows.grad[:, 2, 2:] == 0.0) and np.all(rows.grad[:, :2] == 1.0 / 20)
 
 

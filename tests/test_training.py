@@ -15,13 +15,13 @@ from elastst.training import (
     TrainConfig,
     TrainData,
     adam_step,
-    expected_weight_oracle,
     load_training_checkpoint,
     reweight,
     reweight_vector,
     train,
 )
 from elastst.trope import PeriodSpec
+from helpers import expected_weight_oracle
 
 
 def harmonic_oracle(tau, t_max):
@@ -296,6 +296,15 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(loaded.adam_v, ckpt.adam_v):
             np.testing.assert_array_equal(a, b)
+
+    def test_write_read_write_gives_the_same_bytes(self, tmp_path):
+        state, _, _ = tiny_setup()
+        rng = np.random.default_rng(26)
+        m, v = ([rng.uniform(0, 1, t.data.shape) for _, t in state.parameters()] for _ in range(2))
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        training.save_training_checkpoint(first, training.Checkpoint(state, m, v, 7, 3, 0.25))
+        training.save_training_checkpoint(second, load_training_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_non_finite_loss_raises(self, tmp_path):
         path = tmp_path / "best.ckpt"

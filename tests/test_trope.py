@@ -5,8 +5,9 @@ import pytest
 
 import elastst.numerics as nm
 from elastst.errors import DimensionError, ParameterError
-from elastst.numerics import Tensor, finite_diff_check
-from elastst.trope import PeriodSpec, TunablePeriods, init_periods, relative_score, rotate
+from elastst.numerics import Tensor
+from elastst.trope import PeriodSpec, TunablePeriods, init_periods, rotate
+from helpers import finite_diff_check, relative_score
 
 
 def single_period(period):
