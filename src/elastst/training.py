@@ -162,7 +162,7 @@ class TrainData:
 @dataclass
 class Checkpoint:
     state: ModelState
-    adam_m: list[np.ndarray]
+    adam_m: list[np.ndarray]  # one per block of state.parameters()
     adam_v: list[np.ndarray]
     step_count: int
     epoch: int
