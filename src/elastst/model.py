@@ -143,10 +143,10 @@ class ModelState:
         return out
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """The parameters by checkpoint block, the unit of the file and of
-        Adam: ``blocks`` of the ``trainable()`` weights. Each tensor shares
-        its block's memory, so in-place writes reach the model; gradients
-        accumulate on ``trainable()``."""
+        """The parameters by checkpoint block, the unit of the file:
+        ``blocks`` of the ``trainable()`` weights. Each tensor shares its
+        block's memory, so in-place writes reach the model; gradients
+        accumulate on, and Adam updates, ``trainable()``."""
         return [(name, Tensor(block)) for name, block in self.blocks([(n, t.data) for n, t in self.trainable()])]
 
     def copy(self) -> "ModelState":
@@ -431,6 +431,14 @@ def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]
     if needed > held:
         raise FormatError(f"{path}: config echo describes a model of {needed} values, the blocks hold {held}")
     state = ModelState.init(config, seed=0)
-    for name, tensor in state.parameters():
-        tensor.data[...] = lookup(path, arrays, name, finite_block(tensor.data.shape))
+    fill_leaves(path, state, arrays, [(name, t.data) for name, t in state.trainable()])
     return state, echo, arrays
+
+
+def fill_leaves(path, state: ModelState, arrays: dict, leaves: list[tuple[str, np.ndarray]], prefix: str = "") -> None:
+    """Fill arrays named and shaped as ``state.trainable()`` (weights or
+    moments) in place from the blocks ``prefix + name`` of ``arrays``,
+    through their ``blocks`` views and in file order, so an error names the
+    first missing or bad block."""
+    for name, block in state.blocks(leaves):
+        block[...] = lookup(path, arrays, prefix + name, finite_block(block.shape))

@@ -297,10 +297,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Indices ``start:stop`` of ``axis``, as a view of ``x``'s data."""
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
-    out = Tensor(x.data[sl].copy())
+    out = Tensor(x.data[sl])
 
     def backward_fn(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -32,8 +32,8 @@ from .errors import DimensionError, FormatError, ParameterError
 from .model import (
     ModelState,
     composite_loss,
+    fill_leaves,
     forward_batch,
-    finite_block,
     load_model,
     lookup,
     write_checkpoint,
@@ -121,6 +121,15 @@ def reweight_vector(t_max: int, mode: str = "log-approx", rng: np.random.Generat
 # optimizer
 
 
+def _check_like(params: list[np.ndarray], arrays: list[np.ndarray], what: str) -> None:
+    """``DimensionError`` unless ``arrays`` holds one array per parameter, of its shape."""
+    if len(arrays) != len(params):
+        raise DimensionError(f"{len(arrays)} {what} arrays for {len(params)} parameters")
+    for p, a in zip(params, arrays):
+        if a.shape != p.shape:
+            raise DimensionError(f"{what} shape {a.shape} does not match parameter {p.shape}")
+
+
 def adam_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
@@ -132,12 +141,14 @@ def adam_step(
     eps: float = 1e-8,
     step_count: int = 1,
 ) -> None:
-    """Standard bias-corrected Adam update, in place. ``step_count`` is 1-based."""
+    """Standard bias-corrected Adam update, in place. ``step_count`` is 1-based.
+    Unless ``grads``, ``m`` and ``v`` each hold one array of each parameter's
+    shape, ``DimensionError`` is raised before anything is updated."""
+    for what, arrays in (("gradient", grads), ("first moment", m), ("second moment", v)):
+        _check_like(params, arrays, what)
     bc1 = 1.0 - beta1**step_count
     bc2 = 1.0 - beta2**step_count
     for p, g, mi, vi in zip(params, grads, m, v):
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient shape {g.shape} does not match parameter {p.shape}")
         mi *= beta1
         mi += (1.0 - beta1) * g
         vi *= beta2
@@ -162,7 +173,7 @@ class TrainData:
 @dataclass
 class Checkpoint:
     state: ModelState
-    adam_m: list[np.ndarray]  # one per block of state.parameters()
+    adam_m: list[np.ndarray]  # one per leaf of state.trainable()
     adam_v: list[np.ndarray]
     step_count: int
     epoch: int
@@ -196,9 +207,14 @@ def validation_nmae(state: ModelState, data: TrainData, config: TrainConfig) -> 
 
 
 def save_training_checkpoint(path, ckpt: Checkpoint) -> None:
-    names = [n for n, _ in ckpt.state.parameters()]
-    extra = [(f"opt.m.{n}", a) for n, a in zip(names, ckpt.adam_m)]
-    extra += [(f"opt.v.{n}", a) for n, a in zip(names, ckpt.adam_v)]
+    """Write ``ckpt``; its per-leaf moments are written as the checkpoint's
+    blocks, ``opt.m.<block>`` and ``opt.v.<block>``. Moments that do not
+    match the leaves raise ``DimensionError`` before the file is touched."""
+    names, params = zip(*((n, t.data) for n, t in ckpt.state.trainable()))
+    _check_like(params, ckpt.adam_m, "first moment")
+    _check_like(params, ckpt.adam_v, "second moment")
+    extra = [(f"opt.m.{n}", a) for n, a in ckpt.state.blocks(list(zip(names, ckpt.adam_m)))]
+    extra += [(f"opt.v.{n}", a) for n, a in ckpt.state.blocks(list(zip(names, ckpt.adam_v)))]
     echo = {
         "epoch": str(ckpt.epoch),
         "step_count": str(ckpt.step_count),
@@ -227,7 +243,9 @@ def load_training_checkpoint(path) -> Checkpoint:
     state, echo, arrays = load_model(path)
 
     def moments(prefix: str) -> list[np.ndarray]:
-        return [lookup(path, arrays, prefix + name, finite_block(t.data.shape)) for name, t in state.parameters()]
+        leaves = [(name, np.empty_like(t.data)) for name, t in state.trainable()]
+        fill_leaves(path, state, arrays, leaves, prefix)
+        return [a for _, a in leaves]
 
     return Checkpoint(
         state=state,
@@ -252,9 +270,11 @@ def train(
 
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
-    NMAE at ``t_max`` drives best-checkpoint retention. A non-finite step
-    loss or gradient raises ``FloatingPointError`` before the Adam update,
-    so the parameters keep their values; a non-finite validation NMAE
+    NMAE at ``t_max`` drives best-checkpoint retention. Adam runs on the
+    ``trainable()`` leaves, with one moment array per leaf; the checkpoint
+    file writes them per head block. A non-finite step loss, or gradient
+    (named by its leaf), raises ``FloatingPointError`` before the Adam
+    update, so the parameters keep their values; a non-finite validation NMAE
     raises it after the epoch's updates. Either way the checkpoint file
     still holds the last (finite) best. Nothing else stops training: a run
     that diverges to huge but finite losses runs every epoch and returns.
@@ -282,15 +302,15 @@ def train(
                     f"{config.log_path}: does not hold one row for each epoch 1..{start_epoch}"
                 )
     else:
-        m = [np.zeros_like(t.data) for _, t in state.parameters()]
-        v = [np.zeros_like(t.data) for _, t in state.parameters()]
+        m = [np.zeros_like(t.data) for _, t in state.trainable()]
+        v = [np.zeros_like(t.data) for _, t in state.trainable()]
         step_count = 0
         start_epoch = 0
         best = math.inf
         log = []
 
-    leaves = state.trainable()  # gradients accumulate here
-    names, params = zip(*state.parameters())  # Adam updates these views of the leaves in place
+    leaves = state.trainable()  # gradients accumulate here, and Adam updates these in place
+    params = [t.data for _, t in leaves]
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best, log)
     fixed_weights = (
         None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)
@@ -327,17 +347,13 @@ def train(
                     f"training loss is {step_loss} at epoch {epoch}, step {step_count}"
                 )
             backward(loss)
-            grads = [g for _, g in state.blocks(
-                [(n, t.grad if t.grad is not None else np.zeros_like(t.data)) for n, t in leaves]
-            )]
-            for name, g in zip(names, grads):
+            grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for _, t in leaves]
+            for (name, _), g in zip(leaves, grads):
                 if not np.all(np.isfinite(g)):
                     raise FloatingPointError(
                         f"gradient of {name} is not finite at epoch {epoch}, step {step_count}"
                     )
-            adam_step(
-                [p.data for p in params], grads, m, v, config.learning_rate, step_count=step_count
-            )
+            adam_step(params, grads, m, v, config.learning_rate, step_count=step_count)
             graph.clear()
             loss_sum += step_loss
 

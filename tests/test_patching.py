@@ -55,6 +55,10 @@ class TestUnpatch:
         rows = Tensor([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
         assert unpatch(rows, 5).data.tolist() == [[1, 2, 3, 4, 5]]
 
+    def test_forecast_is_a_view_of_the_rows(self):
+        rows = Tensor(np.arange(12.0).reshape(1, 3, 4))
+        assert np.shares_memory(unpatch(rows, 10).data, rows.data)
+
     def test_shape_contract(self):
         with pytest.raises(DimensionError):
             unpatch(Tensor(np.zeros((1, 3, 3))), 6)  # 6 steps need 2 patch rows

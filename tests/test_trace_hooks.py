@@ -61,7 +61,7 @@ def test_installed_tracer_times_the_one_checkpoint_read(tmp_path):
         lookback=8,
     )
     state = model.ModelState.init(config)
-    zeros = [np.zeros_like(t.data) for _, t in state.parameters()]
+    zeros = [np.zeros_like(t.data) for _, t in state.trainable()]
     path = tmp_path / "best.ckpt"
     training.save_training_checkpoint(path, training.Checkpoint(state, zeros, zeros, 0, 0, float("inf")))
     tracer = load_tracer()

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values
 from elastst import training
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
-from elastst.errors import FormatError, ParameterError, SizingError
-from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
+from elastst.errors import DimensionError, FormatError, ParameterError, SizingError
+from elastst.model import ElasTSTConfig, ModelState, read_checkpoint, write_checkpoint
 from elastst.training import (
     TrainConfig,
     TrainData,
@@ -37,7 +39,7 @@ def harmonic_oracle(tau, t_max):
 def saved_checkpoint(tmp_path, epoch=2, step_count=6, best_val_nmae=0.5):
     """A training checkpoint of the tiny model with zero moments, written to ``tmp_path``."""
     state, _, _ = tiny_setup()
-    zeros = [np.zeros_like(t.data) for _, t in state.parameters()]
+    zeros = [np.zeros_like(t.data) for _, t in state.trainable()]
     path = tmp_path / "best.ckpt"
     training.save_training_checkpoint(
         path, training.Checkpoint(state, zeros, zeros, step_count, epoch, best_val_nmae)
@@ -143,6 +145,20 @@ class TestAdam:
             return p
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize(
+        "m, v",
+        [
+            ([np.zeros(2)], [np.zeros(2), np.zeros(3)]),
+            ([np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros((3, 1))]),
+        ],
+        ids=["first_moment_short", "second_moment_misshapen"],
+    )
+    def test_moments_that_do_not_match_the_parameters_are_refused(self, m, v):
+        params = [np.ones(2), np.ones(3)]
+        with pytest.raises(DimensionError):
+            adam_step(params, [np.ones(2), np.ones(3)], m, v, lr=0.1)
+        assert [p.tolist() for p in params] == [[1.0, 1.0], [1.0, 1.0, 1.0]]  # nothing half applied
 
 
 def tiny_setup(epochs=2, seed=0, checkpoint_path=None):
@@ -259,7 +275,8 @@ class TestTrain:
         assert message in str(err.value)
         assert log_path.read_bytes() == damaged  # rejected before the log is rewritten
 
-    def test_non_finite_gradient_stops_the_step(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("leaf", ["wo", "wq"])  # wq is fused: the error names the leaf, not a head block
+    def test_non_finite_gradient_stops_the_step(self, tmp_path, monkeypatch, leaf):
         path = tmp_path / "best.ckpt"
         state, data, cfg = tiny_setup(epochs=2, checkpoint_path=path)
         real_backward = training.backward
@@ -269,16 +286,16 @@ class TestTrain:
             real_backward(loss)
             seen["calls"] += 1
             if seen["calls"] == cfg.batches_per_epoch + 2:  # epoch 2, step 6
-                seen["params"] = [t.data.copy() for _, t in state.parameters()]
+                seen["params"] = [t.data.copy() for _, t in state.trainable()]
                 seen["checkpoint"] = path.read_bytes()
-                state.layers[0].wo.grad[0, 0] = np.nan
+                getattr(state.layers[0], leaf).grad[0, -1] = np.nan
                 state.periods.log_periods.grad[0] = np.inf
 
         monkeypatch.setattr(training, "backward", poisoned)
         with pytest.raises(FloatingPointError) as err:
             train(state, data, cfg)
-        assert str(err.value) == "gradient of backbone.0.wo is not finite at epoch 2, step 6"
-        for (_, t), before in zip(state.parameters(), seen["params"]):
+        assert str(err.value) == f"gradient of backbone.0.{leaf} is not finite at epoch 2, step 6"
+        for (_, t), before in zip(state.trainable(), seen["params"]):
             np.testing.assert_array_equal(t.data, before)
         assert path.read_bytes() == seen["checkpoint"]
 
@@ -297,10 +314,38 @@ class TestTrain:
         for a, b in zip(loaded.adam_v, ckpt.adam_v):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("layout", ["one_short", "per_head_block"])
+    def test_save_refuses_moments_that_do_not_match_the_leaves(self, tmp_path, layout):
+        state, _, _ = tiny_setup()
+        arrays = state.trainable()[:-1] if layout == "one_short" else state.parameters()
+        moments = [np.zeros_like(t.data) for _, t in arrays]
+        path = tmp_path / "best.ckpt"
+        with pytest.raises(DimensionError):
+            training.save_training_checkpoint(path, training.Checkpoint(state, moments, moments, 6, 2, 0.5))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_adam_updates_the_leaves_with_their_own_gradients(self, monkeypatch):
+        state, data, cfg = tiny_setup(epochs=1)
+        leaves = [t for _, t in state.trainable()]
+        real_adam_step = training.adam_step
+        calls = []
+
+        def recording(params, grads, m, v, *args, **kwargs):
+            calls.append((
+                all(p is t.data for p, t in zip(params, leaves, strict=True)),
+                all(g is t.grad for g, t in zip(grads, leaves, strict=True)),
+                [a.shape for a in m] == [a.shape for a in v] == [t.data.shape for t in leaves],
+            ))
+            real_adam_step(params, grads, m, v, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording)
+        train(state, data, cfg)
+        assert calls == [(True, True, True)] * cfg.batches_per_epoch
+
     def test_write_read_write_gives_the_same_bytes(self, tmp_path):
         state, _, _ = tiny_setup()
         rng = np.random.default_rng(26)
-        m, v = ([rng.uniform(0, 1, t.data.shape) for _, t in state.parameters()] for _ in range(2))
+        m, v = ([rng.uniform(0, 1, t.data.shape) for _, t in state.trainable()] for _ in range(2))
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
         training.save_training_checkpoint(first, training.Checkpoint(state, m, v, 7, 3, 0.25))
         training.save_training_checkpoint(second, load_training_checkpoint(first))
@@ -385,3 +430,57 @@ class TestTrain:
 
     def test_fixed_uniform_weights_reduce_to_plain_mse_vector(self):
         np.testing.assert_array_equal(reweight_vector(25, "fixed-uniform"), np.full(25, 1.0 / 25))
+
+
+def per_head_file_order(names, n_heads):
+    """The checkpoint's block names for ``trainable()`` leaf ``names``: each
+    layer's fused wq, wk, wv become head{j}.wq, head{j}.wk, head{j}.wv, head by head."""
+    order = []
+    for name in names:
+        layer, _, leaf = name.rpartition(".")
+        if leaf == "wq":
+            order += [f"{layer}.head{j}.{w}" for j in range(n_heads) for w in ("wq", "wk", "wv")]
+        elif leaf not in ("wk", "wv"):
+            order.append(name)
+    return order
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(
+    n_heads=st.integers(1, 3),
+    n_layers=st.integers(1, 2),
+    patch_sizes=st.sampled_from([(4,), (2, 4)]),
+    seed=st.integers(0, 2**16),
+)
+def test_moments_are_written_per_head_block_and_read_back_per_leaf(tmp_path_factory, n_heads, n_layers, patch_sizes, seed):
+    hd = 4
+    config = ElasTSTConfig(
+        patch_sizes=patch_sizes,
+        period_spec=PeriodSpec(1.0, 100.0, hd),
+        attention=AttentionConfig(d_model=4, n_heads=n_heads, head_dim=hd, d_ff=4, n_layers=n_layers),
+        lookback=8,
+    )
+    state = ModelState.init(config, seed=seed)
+    leaves = state.trainable()
+    rng = np.random.default_rng(seed)
+    m, v = ([rng.standard_normal(t.data.shape) for _, t in leaves] for _ in range(2))
+    path = tmp_path_factory.mktemp("blocks") / "best.ckpt"
+    training.save_training_checkpoint(path, training.Checkpoint(state, m, v, 5, 1, 0.5))
+
+    _, arrays = read_checkpoint(path)
+    blocks = per_head_file_order([name for name, _ in leaves], n_heads)
+    assert list(arrays) == blocks + [f"opt.m.{n}" for n in blocks] + [f"opt.v.{n}" for n in blocks]
+    for prefix, moments in (("opt.m.", m), ("opt.v.", v)):
+        for (name, t), moment in zip(leaves, moments):
+            layer, _, leaf = name.rpartition(".")
+            if leaf in ("wq", "wk", "wv"):
+                for j in range(n_heads):
+                    block = arrays[f"{prefix}{layer}.head{j}.{leaf}"]
+                    np.testing.assert_array_equal(block, moment[:, j * hd : (j + 1) * hd])
+            else:
+                np.testing.assert_array_equal(arrays[prefix + name].reshape(t.data.shape), moment)
+
+    loaded = load_training_checkpoint(path)
+    assert [a.tobytes() for a in loaded.adam_m] == [a.tobytes() for a in m]
+    assert [a.tobytes() for a in loaded.adam_v] == [a.tobytes() for a in v]
+    assert [t.data.tobytes() for _, t in loaded.state.trainable()] == [t.data.tobytes() for _, t in leaves]
