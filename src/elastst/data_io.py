@@ -2,10 +2,11 @@
 
 The input format is a wide CSV: header row, first column a timestamp (all
 integer indices, or all ISO-8601 and either all naive or all offset-aware),
-one column per variate after that. ``load_csv`` reads the whole table and
-checks one kind of defect at a time, reporting the first row of the first
-kind that fails: cell counts, unparsable cells, then the timestamps of the
-rows kept after dropping (and counting) those with a non-finite value.
+one column per variate after that. ``load_csv`` reads the whole table,
+converts its numbers a block of rows at a time, and checks one kind of
+defect at a time, reporting the first row of the first kind that fails:
+cell counts, unparsable cells, then the timestamps of the rows kept after
+dropping (and counting) those with a non-finite value.
 
 Multivariate series are consumed channel-independently: a window is a
 (variate, start) pair, samplers emit them as two index arrays, and
@@ -16,6 +17,7 @@ share the model weights downstream.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -57,6 +59,16 @@ def timestamp_key(text: str):
         return None
 
 
+# rows per numeric conversion: the cells become floats a block at a time,
+# so the conversion holds one block's arrays beyond the table and the result
+CSV_BLOCK_ROWS = 256
+
+
+def _data_rows(table: list[list[str]]):
+    """(1-based file row, cells) of every non-empty row below the header."""
+    return ((i, cells) for i, cells in enumerate(itertools.islice(table, 1, None), start=2) if cells)
+
+
 def load_csv(path) -> Dataset:
     """Load a wide CSV into a Dataset, dropping non-finite rows."""
     path = Path(path)
@@ -71,29 +83,39 @@ def load_csv(path) -> Dataset:
     if len(header) < 2:
         raise FormatError(f"{path}: need a timestamp column plus at least one variate")
     columns = tuple(c.strip() for c in header[1:])
-    rows = [(i, cells) for i, cells in enumerate(table[1:], start=2) if cells]  # 1-based file rows
 
-    for i, cells in rows:
+    n_rows = 0
+    for i, cells in _data_rows(table):
         if len(cells) != len(header):
             raise FormatError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
-    try:
-        values = np.array([cells[1:] for _, cells in rows], dtype=np.float64).reshape(len(rows), len(columns))
-    except ValueError:  # numpy parses strings as float() does; name the first bad cell
-        for i, cells in rows:
-            for name, cell in zip(columns, cells[1:]):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
-                    ) from None
-        raise
-    kept = np.flatnonzero(np.isfinite(values).all(axis=1))
-    if not len(kept):
+        n_rows += 1
+    values = np.empty((n_rows, len(columns)))
+    finite = np.empty(n_rows, dtype=bool)
+    rows = _data_rows(table)
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        block = list(itertools.islice(rows, CSV_BLOCK_ROWS))
+        try:
+            chunk = np.array([cells[1:] for _, cells in block], dtype=np.float64)
+        except ValueError:  # numpy parses strings as float() does; name the first bad cell
+            for i, cells in block:
+                for name, cell in zip(columns, cells[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise IngestionError(
+                            f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
+                        ) from None
+            raise
+        values[start : start + len(block)] = chunk
+        finite[start : start + len(block)] = np.isfinite(chunk).all(axis=1)
+    n_kept = int(np.count_nonzero(finite))
+    if not n_kept:
         raise IngestionError(f"{path}: no usable data rows")
-    kept_rows = [rows[j] for j in kept.tolist()]
+
     previous = None
-    for i, cells in kept_rows:
+    for (i, cells), keep in zip(_data_rows(table), finite):
+        if not keep:
+            continue
         key = timestamp_key(cells[0])
         if key is None:
             raise IngestionError(
@@ -111,10 +133,10 @@ def load_csv(path) -> Dataset:
 
     return Dataset(
         name=path.stem,
-        timestamps=tuple(cells[0].strip() for _, cells in kept_rows),
-        values=values[kept],
+        timestamps=tuple(cells[0].strip() for (_, cells), keep in zip(_data_rows(table), finite) if keep),
+        values=values if n_kept == n_rows else values[finite],
         columns=columns,
-        dropped_rows=len(values) - len(kept),
+        dropped_rows=n_rows - n_kept,
     )
 
 

@@ -25,11 +25,15 @@ implementation and are worth knowing before touching anything here:
   carry one placeholder row for every window and position.
 * The backward pass has no cross-shape stability requirement (gradients
   are only compared between runs with identical shapes), so it uses plain
-  vectorized numpy for speed. Only leaves (parameters, inputs) keep
-  ``.grad``: each op output's gradient is freed once its node has used it,
-  so a training step's memory peaks at about its forward activations.
-  A closure owns the gradient it is handed, so it may work in it in place
-  and pass it on without a copy (see ``_accum``).
+  vectorized numpy for speed. The tape holds gradient slots (``Node``),
+  not tensors: each entry is an op output's node and its backward
+  closure, and a closure holds its inputs' nodes plus only the arrays and
+  shapes its backward reads. An activation no backward reads is freed as
+  soon as the forward code drops its tensor. Only leaves (parameters,
+  inputs) keep ``.grad``: each op output's gradient is freed once its
+  node has used it, so a training step's memory peaks at what backward
+  needs. A closure owns the gradient it is handed, so it may work in it
+  in place and pass it on without a copy (see ``_accum``).
 """
 
 from __future__ import annotations
@@ -44,16 +48,49 @@ from .errors import ContractError, DimensionError, ParameterError
 _ROW_BLOCK = 16
 
 
-class Tensor:
-    """A float64 array that may participate in the recorded graph."""
+class Node:
+    """The gradient slot of a tensor: what the tape and backward work on."""
 
-    __slots__ = ("data", "requires_grad", "grad", "graph", "__weakref__")
+    __slots__ = ("requires_grad", "grad", "graph")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self.graph: "Graph | None" = None
+
+
+class Tensor:
+    """A float64 array that may participate in the recorded graph.
+
+    ``requires_grad``, ``grad`` and ``graph`` read and write the tensor's
+    ``node``, which the tape keeps after the tensor itself is dropped.
+    """
+
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self.graph: "Graph | None" = None
+        self.node = Node(bool(requires_grad))
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.node.requires_grad = bool(value)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
+    @property
+    def graph(self) -> "Graph | None":
+        return self.node.graph
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -69,13 +106,14 @@ class Graph:
 
     Ops record onto the innermost active graph (``with Graph() as g: ...``).
     The record order equals execution order; ``backward`` walks it in
-    reverse, leaving ``.grad`` on leaves only. ``clear`` drops the recorded
-    nodes (and with them the intermediate activations); parameters live
-    outside the tape and are untouched.
+    reverse, leaving ``.grad`` on leaves only. Each entry is an op output's
+    node and its backward closure. ``clear`` drops them (and with them the
+    arrays the closures keep); parameters live outside the tape and are
+    untouched.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[Node, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -96,17 +134,22 @@ def _active_graph() -> Graph | None:
 
 
 def record_op(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Attach ``out`` to the active tape if anything requires gradients."""
-    out.requires_grad = any(t.requires_grad for t in inputs)
+    """Attach ``out``'s node to the active tape if anything requires gradients.
+
+    ``backward_fn`` must hold no tensor, only nodes and arrays: whatever it
+    holds lives as long as the tape.
+    """
+    node = out.node
+    node.requires_grad = any(t.node.requires_grad for t in inputs)
     graph = _active_graph()
-    if graph is not None and out.requires_grad:
-        out.graph = graph
-        graph._nodes.append((out, inputs, backward_fn))
+    if graph is not None and node.requires_grad:
+        node.graph = graph
+        graph._nodes.append((node, backward_fn))
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, exclusive: bool = False) -> None:
-    """Accumulate ``g`` into ``t.grad``.
+def _accum(node: Node, g: np.ndarray, exclusive: bool = False) -> None:
+    """Accumulate ``g`` into the node's ``grad``.
 
     ``exclusive`` marks an array that nothing else holds, so a first
     gradient adopts it instead of copying it. That is any array the closure
@@ -117,12 +160,12 @@ def _accum(t: Tensor, g: np.ndarray, exclusive: bool = False) -> None:
     no gradient, or the two would share one buffer and each add the other's
     later gradients. When ``b`` is ``a`` it adds into the adopted array.
     """
-    if not t.requires_grad:
+    if not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if exclusive else np.array(g, dtype=np.float64, copy=True)
+    if node.grad is None:
+        node.grad = g if exclusive else np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -138,9 +181,9 @@ def backward(loss: Tensor) -> None:
     if graph is None:
         raise ContractError("loss was not produced by recorded operations")
     loss.grad = np.ones_like(loss.data)
-    for out, _, backward_fn in reversed(graph._nodes):
-        if out.grad is not None:
-            g, out.grad = out.grad, None
+    for node, backward_fn in reversed(graph._nodes):
+        if node.grad is not None:
+            g, node.grad = node.grad, None
             backward_fn(g)
 
 
@@ -174,6 +217,9 @@ def _block_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# A backward closure reads its inputs' nodes (``an`` for ``a.node``) and the
+# arrays and shapes it needs, never a tensor: a tensor would pin its data.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -181,6 +227,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     flattened leading axes of ``a``) or a batched operand with the same
     leading dimensions as ``a``."""
     ad, bd = a.data, b.data
+    an, bn = a.node, b.node
     if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs >=2-D operands, got {ad.shape} and {bd.shape}")
     if bd.ndim == 2:
@@ -188,14 +235,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if k != bd.shape[0]:
             raise DimensionError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
         flat = ad.reshape(-1, k)
-        out = Tensor(_block_rows_matmul(flat, bd).reshape(ad.shape[:-1] + (bd.shape[1],)))
+        a_shape = ad.shape
+        out = Tensor(_block_rows_matmul(flat, bd).reshape(a_shape[:-1] + (bd.shape[1],)))
 
         def backward_fn(g: np.ndarray) -> None:
             gf = g.reshape(-1, bd.shape[1])
-            if a.requires_grad:
-                _accum(a, np.matmul(gf, bd.T).reshape(ad.shape), exclusive=True)
-            if b.requires_grad:
-                _accum(b, np.matmul(flat.T, gf), exclusive=True)
+            if an.requires_grad:
+                _accum(an, np.matmul(gf, bd.T).reshape(a_shape), exclusive=True)
+            if bn.requires_grad:
+                _accum(bn, np.matmul(flat.T, gf), exclusive=True)
 
         return record_op(out, (a, b), backward_fn)
 
@@ -204,10 +252,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_block_rows_matmul(ad, bd))
 
     def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, np.matmul(g, bd.swapaxes(-1, -2)), exclusive=True)
-        if b.requires_grad:
-            _accum(b, np.matmul(ad.swapaxes(-1, -2), g), exclusive=True)
+        if an.requires_grad:
+            _accum(an, np.matmul(g, bd.swapaxes(-1, -2)), exclusive=True)
+        if bn.requires_grad:
+            _accum(bn, np.matmul(ad.swapaxes(-1, -2), g), exclusive=True)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -220,10 +268,11 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
     out = Tensor(a.data + b.data)
+    an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g, exclusive=True)
-        _accum(b, g, exclusive=not a.requires_grad)
+        _accum(an, g, exclusive=True)
+        _accum(bn, g, exclusive=not an.requires_grad)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -231,21 +280,24 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
     out = Tensor(a.data - b.data)
+    an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g, exclusive=True)
-        _accum(b, -g, exclusive=True)
+        _accum(an, g, exclusive=True)
+        _accum(bn, -g, exclusive=True)
 
     return record_op(out, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
+    an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(a, g * b.data, exclusive=True)
-        _accum(b, g * a.data, exclusive=True)
+        _accum(an, g * bd, exclusive=True)
+        _accum(bn, g * ad, exclusive=True)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -254,10 +306,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     """Scalar-by-tensor product (the one permitted broadcast)."""
     c = float(c)
     out = Tensor(a.data * c)
+    an = a.node
 
     def backward_fn(g: np.ndarray) -> None:
         g *= c
-        _accum(a, g, exclusive=True)
+        _accum(an, g, exclusive=True)
 
     return record_op(out, (a,), backward_fn)
 
@@ -267,11 +320,12 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim != 1 or b.data.shape[0] != x.data.shape[-1]:
         raise DimensionError(f"bias_add needs ({x.data.shape[-1]},) bias, got {b.data.shape}")
     out = Tensor(x.data + b.data)
+    xn, bn = x.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, g, exclusive=True)
-        if b.requires_grad:
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0), exclusive=True)
+        _accum(xn, g, exclusive=True)
+        if bn.requires_grad:
+            _accum(bn, g.reshape(-1, g.shape[-1]).sum(axis=0), exclusive=True)
 
     return record_op(out, (x, b), backward_fn)
 
@@ -283,14 +337,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     # with a broadcast input along the broadcast strides, and a reduction over
     # a strided last axis would then sum in another order
     out = Tensor(np.ascontiguousarray(np.concatenate([t.data for t in tensors], axis=axis)))
-    sizes = [t.data.shape[axis] for t in tensors]
+    parts = [(t.node, t.data.shape[axis]) for t in tensors]
 
     def backward_fn(g: np.ndarray) -> None:
         start = 0
-        for t, s in zip(tensors, sizes):
+        for node, s in parts:
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + s)
-            _accum(t, g[tuple(sl)], exclusive=True)  # the slices are disjoint
+            _accum(node, g[tuple(sl)], exclusive=True)  # the slices are disjoint
             start += s
 
     return record_op(out, tuple(tensors), backward_fn)
@@ -302,12 +356,13 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
     out = Tensor(x.data[sl])
+    xn, x_shape = x.node, x.data.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
+        if xn.requires_grad:
+            full = np.zeros(x_shape)
             full[sl] = g
-            _accum(x, full, exclusive=True)
+            _accum(xn, full, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -323,18 +378,20 @@ def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise DimensionError(f"cannot broadcast {xs} to {shape}")
     axes = tuple(i for i, (s, t) in enumerate(zip(xs, shape)) if s != t)
     out = Tensor(np.broadcast_to(x.data, shape))
+    xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, g.sum(axis=axes, keepdims=True), exclusive=True)
+        _accum(xn, g.sum(axis=axes, keepdims=True), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
+    xn, x_shape = x.node, x.data.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, g.reshape(x.data.shape), exclusive=True)
+        _accum(xn, g.reshape(x_shape), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -342,9 +399,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
     inverse = tuple(np.argsort(axes))
+    xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, np.transpose(g, inverse), exclusive=True)
+        _accum(xn, np.transpose(g, inverse), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -363,6 +421,7 @@ def gelu(x: Tensor) -> Tensor:
     t *= _GELU_C
     np.tanh(t, out=t)
     out = Tensor(0.5 * xd * (1.0 + t))
+    xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
         du = xd * (3.0 * _GELU_A)  # du = C * (1 + 3A * x * x)
@@ -377,7 +436,7 @@ def gelu(x: Tensor) -> Tensor:
         dx += term
         g *= 0.5
         dx *= g
-        _accum(x, dx, exclusive=True)
+        _accum(xn, dx, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -395,13 +454,14 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)
+    xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
         gy = g * y
         inner = np.sum(gy, axis=-1, keepdims=True)
         dx = np.subtract(g, inner, out=gy)
         dx *= y
-        _accum(x, dx, exclusive=True)
+        _accum(xn, dx, exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 
@@ -426,23 +486,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     np.multiply(ynorm, gain.data, out=sq)  # the output, over the squares
     sq += bias.data
     out = Tensor(sq)
+    xn, gn, bn, gd = x.node, gain.node, bias.node, gain.data
 
     def backward_fn(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
-        if bias.requires_grad:
-            _accum(bias, np.sum(g, axis=lead), exclusive=True)
+        if bn.requires_grad:
+            _accum(bn, np.sum(g, axis=lead), exclusive=True)
         tmp = g * ynorm
-        if gain.requires_grad:
-            _accum(gain, np.sum(tmp, axis=lead), exclusive=True)
-        if x.requires_grad:
-            gg = np.multiply(g, gain.data, out=g)
+        if gn.requires_grad:
+            _accum(gn, np.sum(tmp, axis=lead), exclusive=True)
+        if xn.requires_grad:
+            gg = np.multiply(g, gd, out=g)
             mean_gg = np.mean(gg, axis=-1, keepdims=True)
             mean_ggy = np.mean(np.multiply(gg, ynorm, out=tmp), axis=-1, keepdims=True)
             dx = gg
             dx -= mean_gg
             dx -= np.multiply(ynorm, mean_ggy, out=tmp)
             dx *= inv
-            _accum(x, dx, exclusive=True)
+            _accum(xn, dx, exclusive=True)
 
     return record_op(out, (x, gain, bias), backward_fn)
 
@@ -455,16 +516,18 @@ def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
     _require_same_shape("mse", pred, target)
     _require_same_shape("mse", pred, weights)
     diff = pred.data - target.data
-    out = Tensor(np.sum(weights.data * diff * diff))
+    wd = weights.data
+    out = Tensor(np.sum(wd * diff * diff))
+    pn, tn, wn = pred.node, target.node, weights.node
 
     def backward_fn(g: np.ndarray) -> None:
         gs = float(g)
-        if pred.requires_grad:
-            _accum(pred, gs * 2.0 * weights.data * diff, exclusive=True)
-        if target.requires_grad:
-            _accum(target, gs * -2.0 * weights.data * diff, exclusive=True)
-        if weights.requires_grad:
-            _accum(weights, gs * diff * diff, exclusive=True)
+        if pn.requires_grad:
+            _accum(pn, gs * 2.0 * wd * diff, exclusive=True)
+        if tn.requires_grad:
+            _accum(tn, gs * -2.0 * wd * diff, exclusive=True)
+        if wn.requires_grad:
+            _accum(wn, gs * diff * diff, exclusive=True)
 
     return record_op(out, (pred, target, weights), backward_fn)
 

@@ -85,17 +85,18 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     yp[..., 0] = xp[..., 0] * c - xp[..., 1] * s
     yp[..., 1] = xp[..., 0] * s + xp[..., 1] * c
     out = Tensor(yp.reshape(xd.shape))
+    xn, ln, x_shape = x.node, logp.node, xd.shape
 
     def backward_fn(g: np.ndarray) -> None:
         gp = g.reshape(pair_shape)
         g0, g1 = gp[..., 0], gp[..., 1]
-        if x.requires_grad:
+        if xn.requires_grad:
             dx = np.empty_like(gp)
             dx[..., 0] = g0 * c + g1 * s
             dx[..., 1] = -g0 * s + g1 * c
-            nm._accum(x, dx.reshape(xd.shape), exclusive=True)
-        if logp.requires_grad:
+            nm._accum(xn, dx.reshape(x_shape), exclusive=True)
+        if ln.requires_grad:
             dphi = g1 * yp[..., 0] - g0 * yp[..., 1]
-            nm._accum(logp, -(dphi * ang).reshape(-1, half).sum(axis=0), exclusive=True)
+            nm._accum(ln, -(dphi * ang).reshape(-1, half).sum(axis=0), exclusive=True)
 
     return nm.record_op(out, (x, logp), backward_fn)

@@ -24,9 +24,10 @@ def mean(x: Tensor) -> Tensor:
     if n == 0:
         raise DimensionError("mean of an empty tensor")
     out = Tensor(np.sum(x.data) / n)
+    xn, shape = x.node, x.data.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, float(g) / n), exclusive=True)
+        _accum(xn, np.full(shape, float(g) / n), exclusive=True)
 
     return record_op(out, (x,), backward_fn)
 

@@ -1,4 +1,7 @@
+import csv
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
+from elastst import data_io
 from elastst.data_io import (
     Scaler,
     SplitSpec,
@@ -81,6 +85,26 @@ class TestLoadCsv:
         path.write_text("ts,a\n1,oops\n2,2.0,3.0\n")
         with pytest.raises(FormatError, match="row 3 has 3 cells"):
             load_csv(path)
+
+    @pytest.mark.parametrize("n_rows", [10_000, 40_000])
+    def test_conversion_holds_little_beyond_the_table_and_the_values(self, tmp_path, n_rows):
+        """The cells become floats a block of rows at a time, so the peak
+        above the string table, less the returned values, stays small and
+        does not grow by a float copy of the whole table."""
+        path = write_csv(tmp_path / "long.csv", np.random.default_rng(3).standard_normal((n_rows, 4)))
+        tracemalloc.start()
+        try:
+            with open(path, newline="", encoding="utf-8") as f:
+                table = list(csv.reader(f))
+            table_peak = tracemalloc.get_traced_memory()[1]
+            del table
+            tracemalloc.reset_peak()
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_steps == n_rows
+        assert peak - table_peak - ds.values.nbytes < 0.5 * 2**20
 
 
 class TestScalerAndSplit:
@@ -263,24 +287,26 @@ def _float_oracle(rows, columns):
 
 
 @settings(max_examples=200, deadline=None)
-@given(wide_tables())
-@example((2, [["1_000", " nan"], ["1e-320", "2"]]))
-def test_load_csv_matches_a_float_oracle(tmp_path_factory, table):
+@given(wide_tables(), st.integers(1, 9))
+@example((2, [["1_000", " nan"], ["1e-320", "2"]]), data_io.CSV_BLOCK_ROWS)
+def test_load_csv_matches_a_float_oracle(tmp_path_factory, table, block_rows):
+    """Cell by cell as float() reads it, whatever the conversion's block size."""
     width, cells = table
     columns = tuple(f"c{k}" for k in range(width))
     rows = [[f" {i} "] + row for i, row in enumerate(cells)]
     path = tmp_path_factory.mktemp("oracle") / "wide.csv"
     path.write_text("\n".join([",".join(("ts",) + columns)] + [",".join(r) for r in rows]) + "\n")
     bad, want = _float_oracle(rows, columns)
-    if bad is not None:
-        with pytest.raises(IngestionError, match=f"row {bad[0]}, column {bad[1]!r}:"):
-            load_csv(path)
-        return
-    kept, timestamps, dropped = want
-    if not kept:
-        with pytest.raises(IngestionError, match="no usable data rows"):
-            load_csv(path)
-        return
-    ds = load_csv(path)
-    assert ds.columns == columns and ds.timestamps == tuple(timestamps) and ds.dropped_rows == dropped
-    np.testing.assert_array_equal(ds.values.view(np.uint64), np.array(kept).view(np.uint64))
+    with patch.object(data_io, "CSV_BLOCK_ROWS", block_rows):
+        if bad is not None:
+            with pytest.raises(IngestionError, match=f"row {bad[0]}, column {bad[1]!r}:"):
+                load_csv(path)
+            return
+        kept, timestamps, dropped = want
+        if not kept:
+            with pytest.raises(IngestionError, match="no usable data rows"):
+                load_csv(path)
+            return
+        ds = load_csv(path)
+        assert ds.columns == columns and ds.timestamps == tuple(timestamps) and ds.dropped_rows == dropped
+        np.testing.assert_array_equal(ds.values.view(np.uint64), np.array(kept).view(np.uint64))

@@ -195,10 +195,11 @@ class TestCompositeLoss:
         for name, p in state.trainable():
             assert p.grad is not None, name
 
-    def test_backward_peaks_well_below_the_forward_activations(self):
-        """Backward frees each op output's gradient once its node has used
-        it, so a training step at the acceptance shape (t_max 96, B=32)
-        holds little beyond its activations; numpy reports to tracemalloc."""
+    @staticmethod
+    def acceptance_step_memory():
+        """Bytes retained by a recorded forward and ``composite_loss`` at the
+        acceptance shape (t_max 96, B=32), and the peak backward adds above
+        them; numpy reports to tracemalloc."""
         config = ElasTSTConfig(
             patch_sizes=(8, 16, 32),
             period_spec=PeriodSpec(1.0, 1000.0, 16),
@@ -220,8 +221,20 @@ class TestCompositeLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        activations = after_forward - before
-        assert peak - after_forward < 0.25 * activations
+        return after_forward - before, peak - after_forward
+
+    def test_backward_peaks_well_below_the_forward_activations(self):
+        """Backward frees each op output's gradient once its node has used
+        it, so a training step holds little beyond its activations."""
+        activations, backward_extra = self.acceptance_step_memory()
+        assert backward_extra < 0.25 * activations
+
+    def test_the_forward_keeps_only_what_backward_reads(self):
+        """The tape holds nodes and the arrays each backward reads, so an
+        activation no backward reads (a residual sum, the raw scores) is
+        freed during the forward pass."""
+        activations, _ = self.acceptance_step_memory()
+        assert activations < 20 * 2**20
 
 
 class TestCheckpoint:

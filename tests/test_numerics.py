@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastst.numerics as nm
+from elastst.backbone import AttentionConfig
 from elastst.errors import ContractError, DimensionError
+from elastst.model import ElasTSTConfig, ModelState, composite_loss, forward_batch
 from elastst.numerics import Graph, Tensor, backward
+from elastst.trope import PeriodSpec
 from helpers import finite_diff_check, mean
 
 
@@ -276,6 +279,62 @@ class TestBackward:
         gc.collect()
         assert ref() is None
         assert x.data.tolist() == [1.0, 2.0, 3.0] and x.grad is not None
+
+    def test_a_dropped_activation_is_freed_and_the_gradients_hold(self):
+        def grads(drop):
+            a, b = param([1.0, -2.0, 3.0]), param([0.5, 4.0, -1.0])
+            with Graph():
+                y = nm.add(a, b)
+                z = nm.scale(y, 2.0)
+                ref = weakref.ref(y.data)
+                if drop:
+                    del y
+                    assert ref() is None  # nothing on the tape reads add's output
+                loss = mean(z)
+            backward(loss)
+            return a.grad.tolist(), b.grad.tolist()
+
+        assert grads(drop=True) == grads(drop=False) == ([2 / 3] * 3,) * 2
+
+    @pytest.mark.parametrize("before_recording", [True, False])
+    def test_a_frozen_leaf_takes_no_gradient(self, before_recording):
+        a, b = param([1.0, 2.0]), param([3.0, 4.0])
+        if before_recording:
+            a.requires_grad = False
+        with Graph():
+            loss = mean(nm.mul(a, b))
+        a.requires_grad = False
+        backward(loss)
+        assert a.grad is None and b.grad.tolist() == [0.5, 1.0]
+
+    def test_the_tape_holds_no_tensor(self):
+        """A closure that kept a tensor would pin its data for as long as
+        the tape lives; backward needs only nodes and the arrays it reads."""
+        config = ElasTSTConfig(
+            patch_sizes=(4, 8),
+            period_spec=PeriodSpec(1.0, 1000.0, 8),
+            attention=AttentionConfig(d_model=16, n_heads=2, head_dim=8, d_ff=24, n_layers=2),
+            lookback=16,
+        )
+        state = ModelState.init(config, seed=3)
+        rng = np.random.default_rng(4)
+        graph = Graph()
+        with graph:
+            composite_loss(forward_batch(state, rng.standard_normal((2, 16)), 12), rng.standard_normal((2, 12)), np.ones(12))
+
+        def tensors_in(value):
+            if isinstance(value, Tensor):
+                return [value]
+            if isinstance(value, (list, tuple)):
+                return [t for item in value for t in tensors_in(item)]
+            return []
+
+        assert len(graph._nodes) > 100
+        for entry in graph._nodes:
+            node, backward_fn = entry
+            assert isinstance(node, nm.Node) and not tensors_in(entry)
+            cells = [cell.cell_contents for cell in backward_fn.__closure__ or ()]
+            assert not tensors_in(cells), backward_fn.__qualname__
 
 
 def copying_accum(t, g, exclusive=False):
