@@ -4,8 +4,8 @@ Configuration is a flat key=value file (one pair per line, ``#`` comments)
 merged with repeated ``--set key=value`` overrides; overrides win. Unknown
 keys are rejected. ``train`` builds the model from the configuration;
 ``evaluate`` and ``forecast`` take it from the checkpoint and read only the
-``data.*`` keys. Exit codes: 0 ok, 2 configuration error, 3 data error,
-4 numeric failure.
+``data.*`` keys. Exit codes: 0 ok, 2 configuration error (a size too large
+to allocate included), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
+    ElaststError,
     IngestionError,
     MetricUndefinedError,
     ParameterError,
@@ -175,6 +176,16 @@ def _load_splits(config: dict):
     return ds, train_v, val_v, test_v, scaler
 
 
+def _fitting(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; numpy refusing an array ``what`` asks for is a ``ConfigError``."""
+    try:
+        return make(*args, **kwargs)
+    except ElaststError:
+        raise
+    except (MemoryError, ValueError) as exc:  # ValueError: larger than numpy's largest array
+        raise ConfigError(f"{what} does not fit in memory: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout without one."""
     if out:
@@ -203,11 +214,11 @@ def _resolve(text: str, names: tuple[str, ...], what: str, key=str) -> int:
 def cmd_train(args) -> int:
     config = build_config(args.config, args.set)
     ds, train_v, val_v, _, scaler = _load_splits(config)
-    state = ModelState.init(model_config(config), seed=config["train.seed"])
+    state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=config["train.seed"])
     data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler, name=ds.name)
     # a non-finite loss raises FloatingPointError (exit 4); numpy's warnings would add lines
     with np.errstate(over="ignore", invalid="ignore"):
-        best = training.train(state, data, train_config(config))
+        best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
     if best.epoch == 0:  # epochs=0: nothing was checkpointed during training
         training.save_training_checkpoint(config["out.checkpoint"], best)
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")
@@ -258,7 +269,7 @@ def cmd_forecast(args) -> int:
         raise SizingError(f"--at row {idx} leaves {idx + 1} context steps, the model's lookback is {lookback}")
     k = _resolve(args.variate, ds.columns, "column")
     context = scaler.transform(ds.values[idx - lookback + 1 : idx + 1, k], k)
-    forecast = forward_batch(state, context[None, :], args.horizon)
+    forecast = _fitting(f"--horizon {args.horizon}", forward_batch, state, context[None, :], args.horizon)
     values = scaler.inverse(forecast.values[0], k)
     lines = ["step,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(values)]
     _emit("\n".join(lines) + "\n", args.out)

@@ -182,7 +182,7 @@ def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: l
         for layer, layer_keys in zip(state.layers, keys):
             rows, _ = transformer_block(rows, positions[start : start + step], state.periods, layer, layer_keys)
         decoded.append(coder.dec(rows))
-    return decoded[0] if len(decoded) == 1 else nm.concat(decoded, axis=1)
+    return nm.concat(decoded, axis=1)
 
 
 def forward_batch(state: ModelState, contexts: np.ndarray, horizon: int) -> Forecast:

@@ -25,15 +25,15 @@ implementation and are worth knowing before touching anything here:
   carry one placeholder row for every window and position.
 * The backward pass has no cross-shape stability requirement (gradients
   are only compared between runs with identical shapes), so it uses plain
-  vectorized numpy for speed. The tape holds gradient slots (``Node``),
-  not tensors: each entry is an op output's node and its backward
-  closure, and a closure holds its inputs' nodes plus only the arrays and
-  shapes its backward reads. An activation no backward reads is freed as
-  soon as the forward code drops its tensor. Only leaves (parameters,
-  inputs) keep ``.grad``: each op output's gradient is freed once its
-  node has used it, so a training step's memory peaks at what backward
-  needs. A closure owns the gradient it is handed, so it may work in it
-  in place and pass it on without a copy (see ``_accum``).
+  vectorized numpy for speed. The tape holds gradient slots (``Node``)
+  and backward closures, never tensors: a closure holds its inputs' nodes
+  and only the arrays and shapes its backward reads, so an activation no
+  backward reads is freed when the forward code drops its tensor. Only
+  tensors point at their graph, so a dropped tape is freed at once. Only
+  leaves (parameters, inputs) keep ``.grad``; an op output's gradient is
+  freed once its node has used it. One ownership rule: a closure owns the
+  gradient it is handed and every array it hands on, so gradients are
+  adopted and worked in place without copies (see ``_accum``).
 """
 
 from __future__ import annotations
@@ -49,28 +49,28 @@ _ROW_BLOCK = 16
 
 
 class Node:
-    """The gradient slot of a tensor: what the tape and backward work on."""
+    """A tensor's gradient slot, which the tape and backward work on; it refers to no graph."""
 
-    __slots__ = ("requires_grad", "grad", "graph")
+    __slots__ = ("requires_grad", "grad")
 
     def __init__(self, requires_grad: bool):
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.graph: "Graph | None" = None
 
 
 class Tensor:
     """A float64 array that may participate in the recorded graph.
 
-    ``requires_grad``, ``grad`` and ``graph`` read and write the tensor's
-    ``node``, which the tape keeps after the tensor itself is dropped.
+    ``requires_grad`` and ``grad`` read and write ``node``, which the tape
+    keeps after the tensor is dropped; ``graph`` is the tape that recorded it.
     """
 
-    __slots__ = ("data", "node", "__weakref__")
+    __slots__ = ("data", "node", "graph", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.node = Node(bool(requires_grad))
+        self.graph: "Graph | None" = None
 
     @property
     def requires_grad(self) -> bool:
@@ -87,10 +87,6 @@ class Tensor:
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
         self.node.grad = value
-
-    @property
-    def graph(self) -> "Graph | None":
-        return self.node.graph
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -137,33 +133,23 @@ def record_op(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable[[np
     """Attach ``out``'s node to the active tape if anything requires gradients.
 
     ``backward_fn`` must hold no tensor, only nodes and arrays: whatever it
-    holds lives as long as the tape.
+    holds lives as long as the tape, and a tensor would point back at it.
     """
     node = out.node
     node.requires_grad = any(t.node.requires_grad for t in inputs)
     graph = _active_graph()
     if graph is not None and node.requires_grad:
-        node.graph = graph
+        out.graph = graph
         graph._nodes.append((node, backward_fn))
     return out
 
 
-def _accum(node: Node, g: np.ndarray, exclusive: bool = False) -> None:
-    """Accumulate ``g`` into the node's ``grad``.
-
-    ``exclusive`` marks an array that nothing else holds, so a first
-    gradient adopts it instead of copying it. That is any array the closure
-    allocated, and also its own ``g`` or a view of it, since ``backward``
-    takes ``g`` off the op's output first: reshape, transpose, scale and
-    ``bias_add`` hand on ``g`` or a view, concat a disjoint slice to each
-    input. ``add`` hands ``g`` to ``a``; ``b`` copies it unless ``a`` takes
-    no gradient, or the two would share one buffer and each add the other's
-    later gradients. When ``b`` is ``a`` it adds into the adopted array.
-    """
+def _accum(node: Node, g: np.ndarray) -> None:
+    """Adopt ``g``, which the caller owns, as the node's first gradient, or add it in place."""
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = g if exclusive else np.array(g, dtype=np.float64, copy=True)
+        node.grad = g
     else:
         node.grad += g
 
@@ -241,9 +227,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def backward_fn(g: np.ndarray) -> None:
             gf = g.reshape(-1, bd.shape[1])
             if an.requires_grad:
-                _accum(an, np.matmul(gf, bd.T).reshape(a_shape), exclusive=True)
+                _accum(an, np.matmul(gf, bd.T).reshape(a_shape))
             if bn.requires_grad:
-                _accum(bn, np.matmul(flat.T, gf), exclusive=True)
+                _accum(bn, np.matmul(flat.T, gf))
 
         return record_op(out, (a, b), backward_fn)
 
@@ -253,9 +239,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         if an.requires_grad:
-            _accum(an, np.matmul(g, bd.swapaxes(-1, -2)), exclusive=True)
+            _accum(an, np.matmul(g, bd.swapaxes(-1, -2)))
         if bn.requires_grad:
-            _accum(bn, np.matmul(ad.swapaxes(-1, -2), g), exclusive=True)
+            _accum(bn, np.matmul(ad.swapaxes(-1, -2), g))
 
     return record_op(out, (a, b), backward_fn)
 
@@ -271,8 +257,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(an, g, exclusive=True)
-        _accum(bn, g, exclusive=not an.requires_grad)
+        _accum(an, g)
+        _accum(bn, np.copy(g) if an.requires_grad else g)  # a adopts g, so b gets its own
 
     return record_op(out, (a, b), backward_fn)
 
@@ -283,8 +269,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(an, g, exclusive=True)
-        _accum(bn, -g, exclusive=True)
+        _accum(an, g)
+        _accum(bn, -g)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -296,8 +282,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     an, bn = a.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(an, g * bd, exclusive=True)
-        _accum(bn, g * ad, exclusive=True)
+        _accum(an, g * bd)
+        _accum(bn, g * ad)
 
     return record_op(out, (a, b), backward_fn)
 
@@ -310,7 +296,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backward_fn(g: np.ndarray) -> None:
         g *= c
-        _accum(an, g, exclusive=True)
+        _accum(an, g)
 
     return record_op(out, (a,), backward_fn)
 
@@ -323,9 +309,9 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     xn, bn = x.node, b.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, g, exclusive=True)
+        _accum(xn, g)
         if bn.requires_grad:
-            _accum(bn, g.reshape(-1, g.shape[-1]).sum(axis=0), exclusive=True)
+            _accum(bn, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return record_op(out, (x, b), backward_fn)
 
@@ -344,7 +330,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for node, s in parts:
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + s)
-            _accum(node, g[tuple(sl)], exclusive=True)  # the slices are disjoint
+            _accum(node, g[tuple(sl)])  # the slices are disjoint
             start += s
 
     return record_op(out, tuple(tensors), backward_fn)
@@ -362,7 +348,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         if xn.requires_grad:
             full = np.zeros(x_shape)
             full[sl] = g
-            _accum(xn, full, exclusive=True)
+            _accum(xn, full)
 
     return record_op(out, (x,), backward_fn)
 
@@ -381,7 +367,7 @@ def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, g.sum(axis=axes, keepdims=True), exclusive=True)
+        _accum(xn, g.sum(axis=axes, keepdims=True))
 
     return record_op(out, (x,), backward_fn)
 
@@ -391,7 +377,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xn, x_shape = x.node, x.data.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, g.reshape(x_shape), exclusive=True)
+        _accum(xn, g.reshape(x_shape))
 
     return record_op(out, (x,), backward_fn)
 
@@ -402,7 +388,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, np.transpose(g, inverse), exclusive=True)
+        _accum(xn, np.transpose(g, inverse))
 
     return record_op(out, (x,), backward_fn)
 
@@ -436,7 +422,7 @@ def gelu(x: Tensor) -> Tensor:
         dx += term
         g *= 0.5
         dx *= g
-        _accum(xn, dx, exclusive=True)
+        _accum(xn, dx)
 
     return record_op(out, (x,), backward_fn)
 
@@ -461,7 +447,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         inner = np.sum(gy, axis=-1, keepdims=True)
         dx = np.subtract(g, inner, out=gy)
         dx *= y
-        _accum(xn, dx, exclusive=True)
+        _accum(xn, dx)
 
     return record_op(out, (x,), backward_fn)
 
@@ -491,10 +477,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward_fn(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
         if bn.requires_grad:
-            _accum(bn, np.sum(g, axis=lead), exclusive=True)
+            _accum(bn, np.sum(g, axis=lead))
         tmp = g * ynorm
         if gn.requires_grad:
-            _accum(gn, np.sum(tmp, axis=lead), exclusive=True)
+            _accum(gn, np.sum(tmp, axis=lead))
         if xn.requires_grad:
             gg = np.multiply(g, gd, out=g)
             mean_gg = np.mean(gg, axis=-1, keepdims=True)
@@ -503,7 +489,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dx -= mean_gg
             dx -= np.multiply(ynorm, mean_ggy, out=tmp)
             dx *= inv
-            _accum(xn, dx, exclusive=True)
+            _accum(xn, dx)
 
     return record_op(out, (x, gain, bias), backward_fn)
 
@@ -523,11 +509,11 @@ def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         gs = float(g)
         if pn.requires_grad:
-            _accum(pn, gs * 2.0 * wd * diff, exclusive=True)
+            _accum(pn, gs * 2.0 * wd * diff)
         if tn.requires_grad:
-            _accum(tn, gs * -2.0 * wd * diff, exclusive=True)
+            _accum(tn, gs * -2.0 * wd * diff)
         if wn.requires_grad:
-            _accum(wn, gs * diff * diff, exclusive=True)
+            _accum(wn, gs * diff * diff)
 
     return record_op(out, (pred, target, weights), backward_fn)
 

@@ -94,9 +94,9 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
             dx = np.empty_like(gp)
             dx[..., 0] = g0 * c + g1 * s
             dx[..., 1] = -g0 * s + g1 * c
-            nm._accum(xn, dx.reshape(x_shape), exclusive=True)
+            nm._accum(xn, dx.reshape(x_shape))
         if ln.requires_grad:
             dphi = g1 * yp[..., 0] - g0 * yp[..., 1]
-            nm._accum(ln, -(dphi * ang).reshape(-1, half).sum(axis=0), exclusive=True)
+            nm._accum(ln, -(dphi * ang).reshape(-1, half).sum(axis=0))
 
     return nm.record_op(out, (x, logp), backward_fn)

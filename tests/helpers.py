@@ -27,7 +27,7 @@ def mean(x: Tensor) -> Tensor:
     xn, shape = x.node, x.data.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, np.full(shape, float(g) / n), exclusive=True)
+        _accum(xn, np.full(shape, float(g) / n))
 
     return record_op(out, (x,), backward_fn)
 

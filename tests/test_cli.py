@@ -17,7 +17,7 @@ from conftest import make_sinusoid_values, write_csv
 from elastst import training
 from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, build_parser, main, model_config
-from elastst.errors import ConfigError, FormatError
+from elastst.errors import ConfigError, DimensionError, FormatError
 from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
 from elastst.trope import PeriodSpec
 
@@ -381,6 +381,34 @@ class TestBadInput:
         assert main(_evaluate(config_path, tmp_path, "--horizons", "8,100000")) == 3
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "test split" in line
+
+    @pytest.mark.parametrize("argv, what", [  # numpy refuses these sizes before it allocates anything
+        (lambda cfg, tmp: _train(cfg, tmp, f"model.d_model={10**18}"), "model.* sizes"),
+        (lambda cfg, tmp: _train(cfg, tmp, f"train.batch_size={10**18}"), "train.* sizes"),
+        (lambda cfg, tmp: _forecast(cfg, tmp, "--horizon", str(10**19)), f"--horizon {10**19}"),
+    ], ids=["d_model", "batch_size", "horizon"])
+    def test_a_size_past_the_largest_array_is_named(self, argv, what, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        assert main(argv(config_path, tmp_path)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error: ") and what in line and "does not fit in memory" in line
+
+    @pytest.mark.parametrize("error, code", [
+        (MemoryError("Unable to allocate 59.6 GiB for an array with shape (1000000000, 8) and data type float64"), 2),
+        (DimensionError("a package error keeps its own exit code"), 4),
+    ], ids=["MemoryError", "DimensionError"])
+    def test_a_model_that_cannot_be_allocated_is_a_configuration_error(
+        self, error, code, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def init(cls, config, seed=0):
+            raise error
+
+        monkeypatch.setattr(ModelState, "init", classmethod(init))
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path)) == code
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert str(error) in line
+        assert ("model.* sizes" in line) == (code == 2)
 
     def test_unwritable_log_fails_before_training(self, workspace, tmp_path, capsys):
         _, config_path = workspace

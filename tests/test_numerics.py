@@ -1,5 +1,6 @@
 import gc
 import math
+import types
 import weakref
 from unittest.mock import patch
 
@@ -307,9 +308,26 @@ class TestBackward:
         backward(loss)
         assert a.grad is None and b.grad.tolist() == [0.5, 1.0]
 
+    def test_a_dropped_graph_is_freed_without_clear_or_the_collector(self):
+        x = param([1.0, -2.0, 3.0])
+        gc.disable()
+        try:
+            graph = Graph()
+            with graph:
+                mid = nm.gelu(nm.scale(x, 2.0))
+                loss = mean(nm.add(mid, mid))
+            backward(loss)
+            ref = weakref.ref(graph)
+            del graph, mid, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None
+
     def test_the_tape_holds_no_tensor(self):
         """A closure that kept a tensor would pin its data for as long as
-        the tape lives; backward needs only nodes and the arrays it reads."""
+        the tape lives, and one that reached a graph would make a cycle;
+        backward needs only nodes and the arrays it reads."""
         config = ElasTSTConfig(
             patch_sizes=(4, 8),
             period_spec=PeriodSpec(1.0, 1000.0, 8),
@@ -322,29 +340,36 @@ class TestBackward:
         with graph:
             composite_loss(forward_batch(state, rng.standard_normal((2, 16)), 12), rng.standard_normal((2, 12)), np.ones(12))
 
-        def tensors_in(value):
-            if isinstance(value, Tensor):
-                return [value]
-            if isinstance(value, (list, tuple)):
-                return [t for item in value for t in tensors_in(item)]
-            return []
+        def reachable(root):
+            """What ``root`` reaches through containers, node slots and
+            closure cells (not through a function's module globals)."""
+            seen, stack = {}, [root]
+            while stack:
+                obj = stack.pop()
+                if id(obj) not in seen:
+                    seen[id(obj)] = obj
+                    if isinstance(obj, (list, tuple, dict, nm.Node)):
+                        stack += gc.get_referents(obj)
+                    elif isinstance(obj, types.FunctionType):
+                        stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            return seen.values()
 
         assert len(graph._nodes) > 100
         for entry in graph._nodes:
             node, backward_fn = entry
-            assert isinstance(node, nm.Node) and not tensors_in(entry)
-            cells = [cell.cell_contents for cell in backward_fn.__closure__ or ()]
-            assert not tensors_in(cells), backward_fn.__qualname__
+            assert isinstance(node, nm.Node)
+            held = [type(obj).__name__ for obj in reachable(entry) if isinstance(obj, (Tensor, Graph))]
+            assert not held, (backward_fn.__qualname__, held)
 
 
-def copying_accum(t, g, exclusive=False):
+def copying_accum(node, g):
     """``numerics._accum`` as it was before gradients were adopted: a
-    tensor's first gradient is always a copy."""
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.array(g, dtype=np.float64, copy=True)
+    node's first gradient is always a copy."""
+    if node.requires_grad:
+        if node.grad is None:
+            node.grad = np.array(g, dtype=np.float64, copy=True)
         else:
-            t.grad += g
+            node.grad += g
 
 
 def leaf_grads_after_two_backwards(build, accum):
