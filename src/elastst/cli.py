@@ -219,8 +219,6 @@ def cmd_train(args) -> int:
     # a non-finite loss raises FloatingPointError (exit 4); numpy's warnings would add lines
     with np.errstate(over="ignore", invalid="ignore"):
         best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
-    if best.epoch == 0:  # epochs=0: nothing was checkpointed during training
-        training.save_training_checkpoint(config["out.checkpoint"], best)
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")
     print(f"checkpoint: {config['out.checkpoint']}")
     print(f"training log: {config['out.log']}")

@@ -112,28 +112,31 @@ def load_csv(path) -> Dataset:
     if not n_kept:
         raise IngestionError(f"{path}: no usable data rows")
 
-    previous = None
-    for (i, cells), keep in zip(_data_rows(table), finite):
-        if not keep:
-            continue
-        key = timestamp_key(cells[0])
-        if key is None:
-            raise IngestionError(
-                f"row {i}: timestamp {cells[0]!r} is neither an integer index nor ISO-8601"
-            )
-        try:
-            increases = previous is None or key > previous
-        except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
-            raise IngestionError(
-                f"{path}: row {i}: timestamp {cells[0]!r} is not of the same kind as the rows above"
-            ) from None
-        if not increases:
-            raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
-        previous = key
+    def kept_timestamps():  # checked and collected in one walk; no list is held beside the tuple
+        previous = None
+        for (i, cells), keep in zip(_data_rows(table), finite):
+            if not keep:
+                continue
+            key = timestamp_key(cells[0])
+            if key is None:
+                raise IngestionError(
+                    f"{path}: row {i}: timestamp {cells[0]!r} is neither an integer index nor ISO-8601"
+                )
+            try:
+                increases = previous is None or key > previous
+            except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
+                raise IngestionError(
+                    f"{path}: row {i}: timestamp {cells[0]!r} is not of the same kind as the rows above"
+                ) from None
+            if not increases:
+                raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
+            previous = key
+            yield cells[0].strip()
 
+    timestamps = tuple(kept_timestamps())
     return Dataset(
         name=path.stem,
-        timestamps=tuple(cells[0].strip() for (_, cells), keep in zip(_data_rows(table), finite) if keep),
+        timestamps=timestamps,
         values=values if n_kept == n_rows else values[finite],
         columns=columns,
         dropped_rows=n_rows - n_kept,

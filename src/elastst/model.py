@@ -104,6 +104,7 @@ class ModelState:
 
     @classmethod
     def init(cls, config: ElasTSTConfig, seed: int = 0) -> "ModelState":
+        np.empty(_parameter_count(config))  # numpy refuses a model too large to hold before a layer is drawn
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         coders = {p: SizeCoder(p, config.attention.d_model, rng) for p in config.patch_sizes}
         layers = [LayerWeights(config.attention, rng) for _ in range(config.attention.n_layers)]
@@ -198,11 +199,10 @@ def forward_batch(state: ModelState, contexts: np.ndarray, horizon: int) -> Fore
     if cfg.instance_norm:
         offset = contexts.mean(axis=1)
         denom = contexts.std(axis=1) + cfg.instance_norm_eps
-        normed = (contexts - offset[:, None]) / denom[:, None]
-    else:
+    else:  # x - 0.0 and x / 1.0 are x, bit for bit
         offset = np.zeros(b)
         denom = np.ones(b)
-        normed = contexts
+    normed = (contexts - offset[:, None]) / denom[:, None]
 
     per_size: list[Tensor] = []
     last = len(state.layers) - 1

@@ -185,7 +185,7 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, epoch]))
 
 
-def _snapshot(state: ModelState, m, v, step_count, epoch, best, log) -> Checkpoint:
+def _snapshot(state: ModelState, m, v, step_count, epoch, best) -> Checkpoint:
     return Checkpoint(
         state=state.copy(),
         adam_m=[a.copy() for a in m],
@@ -193,7 +193,6 @@ def _snapshot(state: ModelState, m, v, step_count, epoch, best, log) -> Checkpoi
         step_count=step_count,
         epoch=epoch,
         best_val_nmae=best,
-        log=list(log),
     )
 
 
@@ -270,7 +269,9 @@ def train(
 
     Each step samples ``batch_size`` random windows at horizon ``t_max``,
     applies the reweighted composite loss, and Adam-updates. Validation
-    NMAE at ``t_max`` drives best-checkpoint retention. Adam runs on the
+    NMAE at ``t_max`` drives best-checkpoint retention: each improving epoch
+    is written to ``config.checkpoint_path``, and if none improves on the
+    start, the start is written when training ends. Adam runs on the
     ``trainable()`` leaves, with one moment array per leaf; the checkpoint
     file writes them per head block. A non-finite step loss, or gradient
     (named by its leaf), raises ``FloatingPointError`` before the Adam
@@ -279,39 +280,32 @@ def train(
     still holds the last (finite) best. Nothing else stops training: a run
     that diverges to huge but finite losses runs every epoch and returns.
 
-    On ``resume``, the log keeps the rows for epochs up to the checkpoint:
-    with ``config.log_path`` they are read back from that log, which must
-    hold one row for each of them, and it is then rewritten whole.
+    A fresh run resumes from epoch 0: zero moments, step 0, best ``inf``
+    and an empty log. The log keeps the rows for epochs up to the start;
+    on ``resume`` with ``config.log_path`` they are read back from that
+    log, which must hold one row for each of them, and it is then
+    rewritten whole.
     """
     lookback = state.config.lookback
     data_io.check_split(data.train_values, lookback, config.t_max, "train split")
     data_io.check_split(data.val_values, lookback, config.t_max, "validation split")
 
-    if resume is not None:
-        state = resume.state
-        m = resume.adam_m
-        v = resume.adam_v
-        step_count = resume.step_count
-        start_epoch = resume.epoch
-        best = resume.best_val_nmae
-        log = [row for row in resume.log if row["epoch"] <= start_epoch]
-        if config.log_path:
+    start = resume
+    if start is None:  # a fresh run resumes from epoch 0
+        zeros = [np.zeros_like(t.data) for _, t in state.trainable()]
+        start = Checkpoint(state, zeros, [np.zeros_like(a) for a in zeros], 0, 0, math.inf)
+    state, m, v, step_count = start.state, start.adam_m, start.adam_v, start.step_count
+    start_epoch, best = start.epoch, start.best_val_nmae
+    log = [row for row in start.log if row["epoch"] <= start_epoch]
+    if config.log_path:
+        if resume is not None:
             log = [row for row in read_training_log(config.log_path) if row["epoch"] <= start_epoch]
-            if [row["epoch"] for row in log] != list(range(1, start_epoch + 1)):
-                raise FormatError(
-                    f"{config.log_path}: does not hold one row for each epoch 1..{start_epoch}"
-                )
-    else:
-        m = [np.zeros_like(t.data) for _, t in state.trainable()]
-        v = [np.zeros_like(t.data) for _, t in state.trainable()]
-        step_count = 0
-        start_epoch = 0
-        best = math.inf
-        log = []
+        if [row["epoch"] for row in log] != list(range(1, start_epoch + 1)):
+            raise FormatError(f"{config.log_path}: does not hold one row for each epoch 1..{start_epoch}")
 
     leaves = state.trainable()  # gradients accumulate here, and Adam updates these in place
     params = [t.data for _, t in leaves]
-    best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best, log)
+    best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best)
     fixed_weights = (
         None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)
     )
@@ -332,14 +326,13 @@ def train(
             w = fixed_weights if fixed_weights is not None else reweight_vector(
                 config.t_max, "sampled", rng=rng
             )
-            weight_matrix = np.broadcast_to(w / config.batch_size, targets.shape)
 
             for _, t in leaves:
                 t.grad = None
             graph = Graph()
             with graph:
                 forecast = forward_batch(state, contexts, config.t_max)
-                loss = composite_loss(forecast, targets, weight_matrix)
+                loss = composite_loss(forecast, targets, w / config.batch_size)
             step_count += 1
             step_loss = loss.item()
             if not math.isfinite(step_loss):
@@ -375,10 +368,12 @@ def train(
             write_training_log(config.log_path, log[-1:], mode="a")
         if val_nmae < best:
             best = val_nmae
-            best_ckpt = _snapshot(state, m, v, step_count, epoch, best, log)
+            best_ckpt = _snapshot(state, m, v, step_count, epoch, best)
             if config.checkpoint_path:
                 save_training_checkpoint(config.checkpoint_path, best_ckpt)
 
+    if config.checkpoint_path and best_ckpt.epoch == start_epoch:  # no epoch improved on the start
+        save_training_checkpoint(config.checkpoint_path, best_ckpt)
     best_ckpt.log = log
     return best_ckpt
 

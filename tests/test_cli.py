@@ -1,24 +1,27 @@
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
-from elastst import training
+from elastst import model, training
 from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, build_parser, main, model_config
 from elastst.errors import ConfigError, DimensionError, FormatError
-from elastst.model import ElasTSTConfig, ModelState, write_checkpoint
+from elastst.model import ElasTSTConfig, ModelState, load_model, write_checkpoint
 from elastst.trope import PeriodSpec
 
 
@@ -204,6 +207,45 @@ class TestEndToEnd:
         ]
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_non_finite_validation_keeps_the_last_finite_best(self, workspace, tmp_path, capsys, monkeypatch):
+        real_validation = training.validation_nmae
+        finite = []
+
+        def validation(state, data, config):  # epoch 1 scores as usual, epoch 2 is NaN
+            if finite:
+                return math.nan, math.nan
+            finite.append(real_validation(state, data, config))
+            return finite[0]
+
+        monkeypatch.setattr(training, "validation_nmae", validation)
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path, "train.epochs=2")) == 4
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numeric failure: validation NMAE is nan after epoch 2, step 6"
+        ]
+        best = training.load_training_checkpoint(tmp_path / "model.ckpt")
+        assert (best.epoch, best.step_count, best.best_val_nmae) == (1, 3, finite[0][0])
+
+    def test_zero_epochs_writes_the_start_checkpoint(self, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path, "train.epochs=0")) == 0
+        assert "(epoch 0)" in capsys.readouterr().out
+        start = training.load_training_checkpoint(tmp_path / "model.ckpt")
+        assert (start.epoch, start.step_count, start.best_val_nmae) == (0, 0, math.inf)
+        fresh = ModelState.init(model_config(build_config(str(config_path), [])), seed=0)
+        for (_, a), (_, b) in zip(start.state.parameters(), fresh.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        assert not any(np.any(m) for m in start.adam_m + start.adam_v)
+        assert (tmp_path / "log.csv").read_text().splitlines() == ["epoch,train_loss,val_nmae,val_nrmse,wall_seconds"]
+
+    @pytest.mark.parametrize("text", ["false", "0", "no"])
+    def test_instance_norm_off_spellings_are_accepted(self, text, workspace, tmp_path, capsys):
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path, f"model.instance_norm={text}", "train.epochs=0")) == 0
+        assert capsys.readouterr().err == ""
+        state, echo, _ = load_model(tmp_path / "model.ckpt")
+        assert state.config.instance_norm is False and echo["instance_norm"] == "false"
+
     def test_missing_dataset_is_a_data_error(self, workspace):
         _, config_path = workspace
         assert main(["train", "--config", str(config_path), "--set", "data.path=/no/such.csv"]) == 3
@@ -329,6 +371,16 @@ NAIVE_THEN_AWARE_CSV = b"ts,v0\n2020-01-01T00:00,1.0\n2020-01-01T01:00+00:00,2.0
 
 # case -> (exit code, argv built from the workspace config path and a scratch directory)
 BAD_INPUTS = {
+    "csv_empty": (3, lambda cfg, tmp: _train(cfg, tmp, f"data.path={_file(tmp, 'empty.csv', b'')}")),
+    "config_line_without_equals": (2, lambda cfg, tmp: [
+        "train", "--config", _file(tmp, "noeq.cfg", cfg.read_bytes() + b"train.epochs 3\n")]),
+    "set_without_equals": (2, lambda cfg, tmp: ["train", "--config", str(cfg), "--set", "train.epochs"]),
+    "split_with_two_fractions": (2, lambda cfg, tmp: _train(cfg, tmp, "data.split=0.8,0.2")),
+    "instance_norm_not_a_boolean": (2, lambda cfg, tmp: _train(cfg, tmp, "model.instance_norm=maybe")),
+    "zero_in_the_horizon_list": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,0")),
+    "checkpoint_block_header_without_columns": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
+        tmp, "header.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(
+            b"\n\nsize4.enc.w1 4 16\n", b"\n\nsize4.enc.w1 3\n"))]),
     "csv_not_utf8": (3, lambda cfg, tmp: _train(
         cfg, tmp, f"data.path={_file(tmp, 'bad.csv', NOT_UTF8_CSV)}")),
     "csv_field_too_large": (3, lambda cfg, tmp: _train(
@@ -392,6 +444,21 @@ class TestBadInput:
         assert main(argv(config_path, tmp_path)) == 2
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("configuration error: ") and what in line and "does not fit in memory" in line
+
+    def test_a_huge_layer_count_is_refused_before_a_layer_is_drawn(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer was drawn")
+
+        monkeypatch.setattr(model, "LayerWeights", no_layer)
+        _, config_path = workspace
+        n_layers = f"model.n_layers={10**12}"
+        count = model._parameter_count(model_config(build_config(str(config_path), [n_layers])))
+        began = time.perf_counter()
+        assert main(_train(config_path, tmp_path, n_layers)) == 2
+        assert time.perf_counter() - began < 1.0
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("configuration error: a model of these model.* sizes does not fit in memory: ")
+        assert f"({count},)" in line  # numpy names the shape it refused
 
     @pytest.mark.parametrize("error, code", [
         (MemoryError("Unable to allocate 59.6 GiB for an array with shape (1000000000, 8) and data type float64"), 2),

@@ -75,6 +75,13 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="row 3: timestamp .* is not of the same kind"):
             load_csv(path)
 
+    def test_unreadable_timestamp_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "when.csv"
+        path.write_text("ts,x\n1,1.0\nyesterday,2.0\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: row 3: timestamp 'yesterday' is neither an integer index nor ISO-8601"
+
     def test_checks_run_one_kind_at_a_time(self, tmp_path):
         # counts, then numbers, then finiteness, then timestamps: the first
         # failing kind of check reports its first row, wherever the others are

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elastst import model
 from elastst.backbone import AttentionConfig
@@ -367,12 +369,23 @@ class TestCheckpoint:
         load_model(path)
         assert len(inits) == 1
 
-    @pytest.mark.parametrize("sizes, n_layers", [((4, 8), 1), ((1, 3, 32), 3)])
-    def test_parameter_count_is_what_init_allocates(self, sizes, n_layers):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+        d_model=st.integers(1, 12),
+        n_heads=st.integers(1, 3),
+        half_head_dim=st.integers(2, 5),
+        d_ff=st.integers(1, 12),
+        n_layers=st.integers(1, 3),
+    )
+    @example(sizes=[4, 8], d_model=10, n_heads=3, half_head_dim=3, d_ff=7, n_layers=1)
+    @example(sizes=[1, 3, 32], d_model=10, n_heads=3, half_head_dim=3, d_ff=7, n_layers=3)
+    def test_parameter_count_is_what_init_allocates(self, sizes, d_model, n_heads, half_head_dim, d_ff, n_layers):
+        """The count sizes the allocation probe in ``init`` and the echo check in ``load_model``."""
         config = ElasTSTConfig(
             patch_sizes=sizes,
-            period_spec=PeriodSpec(1.0, 1000.0, 6),
-            attention=AttentionConfig(d_model=10, n_heads=3, head_dim=6, d_ff=7, n_layers=n_layers),
+            period_spec=PeriodSpec(1.0, 1000.0, 2 * half_head_dim),
+            attention=AttentionConfig(d_model, n_heads, 2 * half_head_dim, d_ff, n_layers),
             lookback=16,
         )
         state = ModelState.init(config)

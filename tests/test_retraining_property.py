@@ -1,13 +1,15 @@
 """Property: retraining is byte-identical over many small shapes. Two runs
 of the same two training steps write equal checkpoint bytes and equal log
-bytes apart from ``wall_seconds``, whether the second run is in the same
-process, after the first one's gradient buffers were adopted and freed,
-or in a fresh interpreter."""
+bytes apart from ``wall_seconds``: in one process, where the second run,
+after the first one's gradient buffers were adopted and freed, stops after
+its first step and resumes from its checkpoint file; and in a fresh
+interpreter."""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from conftest import make_sinusoid_values
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
 from elastst.model import ElasTSTConfig, ModelState
-from elastst.training import REWEIGHT_MODES, TrainConfig, TrainData, train
+from elastst.training import REWEIGHT_MODES, TrainConfig, TrainData, load_training_checkpoint, train
 from elastst.trope import PeriodSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,9 +41,10 @@ def cases(draw):
     }
 
 
-def two_steps(case: dict, out: Path) -> tuple[bytes, list[str]]:
+def two_steps(case: dict, out: Path, stop: bool = False) -> tuple[bytes, list[str]]:
     """Train ``case`` for two steps (two epochs of one) into ``out``; the
-    best checkpoint's bytes and the log's lines without ``wall_seconds``."""
+    best checkpoint's bytes and the log's lines without ``wall_seconds``.
+    With ``stop``, the run stops after epoch 1 and resumes from the checkpoint file."""
     config = ElasTSTConfig(
         patch_sizes=tuple(case["patch_sizes"]),
         period_spec=PeriodSpec(1.0, 100.0, 4),
@@ -72,7 +75,13 @@ def two_steps(case: dict, out: Path) -> tuple[bytes, list[str]]:
         checkpoint_path=str(checkpoint),
         log_path=str(log),
     )
-    train(ModelState.init(config, seed=case["seed"]), data, train_config)
+    state = ModelState.init(config, seed=case["seed"])
+    if stop:
+        train(state, data, replace(train_config, epochs=1))
+        resume = load_training_checkpoint(checkpoint)
+        train(resume.state, data, train_config, resume=resume)
+    else:
+        train(state, data, train_config)
     return checkpoint.read_bytes(), [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]
 
 
@@ -81,9 +90,9 @@ def two_steps(case: dict, out: Path) -> tuple[bytes, list[str]]:
 @example({"patch_sizes": [8, 1], "d_model": 5, "n_heads": 3, "n_layers": 2, "lookback": 11, "t_max": 24,
           "batch_size": 5, "reweight_mode": "sampled", "instance_norm": False, "seed": 7})
 def test_two_runs_write_the_same_bytes(tmp_path_factory, case):
-    first, second = (two_steps(case, tmp_path_factory.mktemp("run")) for _ in range(2))
-    assert len(first[1]) == 3  # the header and one row per step
-    assert first == second
+    straight, resumed = (two_steps(case, tmp_path_factory.mktemp("run"), stop) for stop in (False, True))
+    assert len(straight[1]) == 3  # the header and one row per step
+    assert straight == resumed
 
 
 def test_a_fresh_interpreter_writes_the_same_bytes(tmp_path):

@@ -189,13 +189,31 @@ def tiny_setup(epochs=2, seed=0, checkpoint_path=None):
 
 
 class TestTrain:
-    def test_zero_epochs_returns_initial_model(self):
-        state, data, cfg = tiny_setup(epochs=0)
+    def test_zero_epochs_returns_initial_model(self, tmp_path):
+        """Zero epochs return the initial model and write it as an epoch-0 checkpoint."""
+        path = tmp_path / "start.ckpt"
+        state, data, cfg = tiny_setup(epochs=0, checkpoint_path=path)
         reference = ModelState.init(state.config, seed=0)
         ckpt = train(state, data, cfg)
         assert ckpt.epoch == 0 and math.isinf(ckpt.best_val_nmae)
-        for (_, a), (_, b) in zip(ckpt.state.parameters(), reference.parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+        written = load_training_checkpoint(path)
+        assert (written.epoch, written.step_count, written.best_val_nmae) == (0, 0, math.inf)
+        assert not any(np.any(m) for m in written.adam_m + written.adam_v)
+        for returned, saved, ref in zip(ckpt.state.parameters(), written.state.parameters(), reference.parameters()):
+            np.testing.assert_array_equal(returned[1].data, ref[1].data)
+            np.testing.assert_array_equal(saved[1].data, ref[1].data)
+
+    def test_a_resume_that_never_improves_writes_its_start(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        state, data, cfg = tiny_setup(epochs=1, checkpoint_path=path)
+        train(state, data, cfg)
+        written = path.read_bytes()
+        resume = load_training_checkpoint(path)
+        path.unlink()
+        monkeypatch.setattr(training, "validation_nmae", lambda *args: (1e300, 1e300))  # no epoch improves
+        best = train(resume.state, data, dataclasses.replace(cfg, epochs=3), resume=resume)
+        assert best.epoch == 1 and [row["epoch"] for row in best.log] == [2, 3]
+        assert path.read_bytes() == written
 
     def test_training_is_deterministic(self):
         def run():
