@@ -74,8 +74,7 @@ class MLP:
         self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        hidden = nm.gelu(nm.bias_add(nm.matmul(x, self.w1), self.b1))
-        return nm.bias_add(nm.matmul(hidden, self.w2), self.b2)
+        return nm.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]

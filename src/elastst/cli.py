@@ -216,9 +216,7 @@ def cmd_train(args) -> int:
     ds, train_v, val_v, _, scaler = _load_splits(config)
     state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=config["train.seed"])
     data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler, name=ds.name)
-    # a non-finite loss raises FloatingPointError (exit 4); numpy's warnings would add lines
-    with np.errstate(over="ignore", invalid="ignore"):
-        best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
+    best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")
     print(f"checkpoint: {config['out.checkpoint']}")
     print(f"training log: {config['out.log']}")
@@ -246,6 +244,10 @@ def cmd_evaluate(args) -> int:
         dataset=ds.name,
         checkpoint_id=str(checkpoint_path),
     )
+    for row in report.rows:
+        for name, value in (("NMAE", row.nmae), ("NRMSE", row.nrmse)):
+            if not np.isfinite(value):
+                raise FloatingPointError(f"{name} at horizon {row.horizon} is not finite: {value!r}")
     _emit(report.to_csv(), args.out)
     if args.out:
         print(report.format_table())
@@ -269,6 +271,9 @@ def cmd_forecast(args) -> int:
     context = scaler.transform(ds.values[idx - lookback + 1 : idx + 1, k], k)
     forecast = _fitting(f"--horizon {args.horizon}", forward_batch, state, context[None, :], args.horizon)
     values = scaler.inverse(forecast.values[0], k)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatingPointError(f"forecast of variate {ds.columns[k]!r} is not finite from step {bad[0] + 1}")
     lines = ["step,value"] + [f"{i + 1},{float(v)!r}" for i, v in enumerate(values)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -342,7 +347,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite loss, forecast or metric is a FloatingPointError (exit 4);
+        # numpy's warnings on the way there would add stderr lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

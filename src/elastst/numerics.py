@@ -34,6 +34,10 @@ implementation and are worth knowing before touching anything here:
   freed once its node has used it. One ownership rule: a closure owns the
   gradient it is handed and every array it hands on, so gradients are
   adopted and worked in place without copies (see ``_accum``).
+* Every GELU MLP is one op, ``mlp``, with the bytes of its five-op
+  composition. It takes GELU's derivative while recording, so its node
+  keeps the input, that derivative and the GELU output; the pre-activation
+  and the tanh values are freed in the forward pass.
 """
 
 from __future__ import annotations
@@ -397,34 +401,99 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation; the gradient is of the approximation."""
-    xd = x.data
-    t = xd * xd  # t = tanh(C * (x + A * x² * x)), built in one buffer
+def _gelu(h: np.ndarray, out: np.ndarray | None, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU (tanh approximation) of ``h`` into ``out`` (``h`` itself, or
+    None for a new array), and with ``slope`` twice its derivative,
+    ``(t + 1) + h (1 - t²) C (1 + 3A h²)``; ``t`` and the slope are taken
+    before ``out`` is written."""
+    t = h * h  # t = tanh(C * (h + A * h² * h)), built in one buffer
     t *= _GELU_A
-    t *= xd
-    t += xd
+    t *= h
+    t += h
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = Tensor(0.5 * xd * (1.0 + t))
+    d = None
+    if slope:
+        d = h * (3.0 * _GELU_A)  # d = C * (1 + 3A * h * h)
+        d *= h
+        d += 1.0
+        d *= _GELU_C
+        term = t * t  # term = h * (1 - t²) * d
+        np.subtract(1.0, term, out=term)
+        term *= h
+        term *= d
+        d = np.add(t, 1.0, out=d)
+        d += term
+    y = np.multiply(h, 0.5, out=out)  # (0.5 h)(1 + t)
+    t += 1.0
+    y *= t
+    return y, d
+
+
+def _recording(*inputs: Tensor) -> bool:
+    """Whether ``record_op`` puts an op of ``inputs`` on a tape."""
+    return _active_graph() is not None and any(t.node.requires_grad for t in inputs)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU, tanh approximation; the gradient is of the approximation."""
+    y, slope = _gelu(x.data, None, _recording(x))
+    out = Tensor(y)
     xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        du = xd * (3.0 * _GELU_A)  # du = C * (1 + 3A * x * x)
-        du *= xd
-        du += 1.0
-        du *= _GELU_C
-        term = t * t  # term = x * (1 - t²) * du
-        np.subtract(1.0, term, out=term)
-        term *= xd
-        term *= du
-        dx = np.add(t, 1.0, out=du)
-        dx += term
         g *= 0.5
-        dx *= g
-        _accum(xn, dx)
+        g *= slope
+        _accum(xn, g)
 
     return record_op(out, (x,), backward_fn)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``bias_add(matmul(gelu(bias_add(matmul(x, w1), b1)), w2), b2)`` as one
+    tape op, with the same bytes forward and backward.
+
+    The bias and GELU work in place on the first product. GELU's slope is
+    taken only when the op is recorded and ``x``, ``w1`` or ``b1`` needs a
+    gradient. The closure keeps ``x``, the slope and the GELU output, not
+    the pre-activation or the tanh buffer.
+    """
+    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
+    if (
+        xd.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2
+        or xd.shape[-1] != w1d.shape[0] or w1d.shape[1] != w2d.shape[0]
+        or b1d.shape != (w1d.shape[1],) or b2d.shape != (w2d.shape[1],)
+    ):
+        raise DimensionError(
+            f"mlp shapes disagree: x {xd.shape}, w1 {w1d.shape}, b1 {b1d.shape}, w2 {w2d.shape}, b2 {b2d.shape}"
+        )
+    flat = xd.reshape(-1, xd.shape[-1])
+    h = _block_rows_matmul(flat, w1d)
+    h += b1d
+    hidden, slope = _gelu(h, h, _recording(x, w1, b1))
+    y = _block_rows_matmul(hidden, w2d)
+    y += b2d
+    out = Tensor(y.reshape(xd.shape[:-1] + (w2d.shape[1],)))
+    xn, w1n, b1n, w2n, b2n, x_shape = x.node, w1.node, b1.node, w2.node, b2.node, xd.shape
+
+    def backward_fn(g: np.ndarray) -> None:
+        gf = g.reshape(-1, g.shape[-1])
+        if b2n.requires_grad:
+            _accum(b2n, gf.sum(axis=0))
+        if w2n.requires_grad:
+            _accum(w2n, np.matmul(hidden.T, gf))
+        if slope is not None:  # x, w1 or b1 took part in recording
+            dh = np.matmul(gf, w2d.T)
+            dh *= 0.5
+            dh *= slope
+            if b1n.requires_grad:
+                _accum(b1n, dh.sum(axis=0))
+            if xn.requires_grad:
+                _accum(xn, np.matmul(dh, w1d.T).reshape(x_shape))
+            if w1n.requires_grad:
+                _accum(w1n, np.matmul(flat.T, dh))
+
+    return record_op(out, (x, w1, b1, w2, b2), backward_fn)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

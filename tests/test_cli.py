@@ -491,6 +491,45 @@ def _output(capsys, argv) -> str:
     return capsys.readouterr().out
 
 
+class TestHugeInputValues:
+    """A finite but huge CSV value gives finite output and a quiet stderr, or
+    exit 4 with one line; numpy's overflow warnings never reach stderr."""
+
+    @staticmethod
+    def run(workspace, tmp_path, capsys, instance_norm, *argv):
+        """``argv`` on the workspace CSV with variate 0 at 1e300 three rows
+        from the end, and an untrained checkpoint of the workspace shape."""
+        _, config_path = workspace
+        values = make_sinusoid_values(n_steps=400, n_variates=2, seed=9)
+        values[-3, 0] = 1e300
+        overrides = [f"data.path={write_csv(tmp_path / 'huge.csv', values)}", f"model.instance_norm={instance_norm}"]
+        checkpoint = tmp_path / "model.ckpt"
+        write_checkpoint(checkpoint, ModelState.init(model_config(build_config(str(config_path), overrides)), seed=0))
+        args = [*argv, "--config", str(config_path), "--checkpoint", str(checkpoint), "--set", overrides[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would add stderr lines
+            code = main(args)
+        out, err = capsys.readouterr()
+        return code, out, err.strip().splitlines()
+
+    def test_forecast_past_the_huge_value_is_finite(self, workspace, tmp_path, capsys):
+        code, out, err = self.run(workspace, tmp_path, capsys, "false", "forecast", "--horizon", "4")
+        assert (code, err) == (0, [])
+        rows = out.splitlines()
+        assert len(rows) == 5 and all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+    def test_a_non_finite_forecast_names_the_variate(self, workspace, tmp_path, capsys):
+        code, out, err = self.run(workspace, tmp_path, capsys, "true", "forecast", "--horizon", "4")
+        assert (code, out) == (4, "")
+        assert err == ["numeric failure: forecast of variate 'v0' is not finite from step 1"]
+
+    def test_a_non_finite_metric_names_the_horizon(self, workspace, tmp_path, capsys):
+        # at horizon 4 a scored window's target holds the huge value; at 8 none does
+        code, out, err = self.run(workspace, tmp_path, capsys, "false", "evaluate", "--horizons", "8,4")
+        assert (code, out) == (4, "")
+        assert err == ["numeric failure: NRMSE at horizon 4 is not finite: inf"]
+
+
 class TestEachCommandSizesWhatItReads:
     """The checkpoint decides the model; evaluate and forecast read only the
     data keys, and train sizes only its train and validation splits."""

@@ -233,10 +233,11 @@ class TestCompositeLoss:
 
     def test_the_forward_keeps_only_what_backward_reads(self):
         """The tape holds nodes and the arrays each backward reads, so an
-        activation no backward reads (a residual sum, the raw scores) is
-        freed during the forward pass."""
+        activation no backward reads (a residual sum, the raw scores, an
+        MLP's pre-activation and tanh buffer) is freed during the forward
+        pass. 13.42 MiB measured."""
         activations, _ = self.acceptance_step_memory()
-        assert activations < 20 * 2**20
+        assert activations < 14 * 2**20
 
 
 class TestCheckpoint:

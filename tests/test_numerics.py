@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import types
@@ -177,6 +178,9 @@ class TestElementwiseOps:
         checks.append((lambda: square_mean(nm.gelu(x)), [x]))
         b = param(rng.uniform(-1, 1, 4))
         checks.append((lambda: square_mean(nm.bias_add(x, b)), [x, b]))
+        w1, b1 = param(rng.uniform(-1, 1, (4, 5))), param(rng.uniform(-1, 1, 5))
+        w2, b2 = param(rng.uniform(-1, 1, (5, 3))), param(rng.uniform(-1, 1, 3))
+        checks.append((lambda: square_mean(nm.mlp(x, w1, b1, w2, b2)), [x, w1, b1, w2, b2]))
         checks.append((lambda: square_mean(nm.concat([x, y], axis=0)), [x, y]))
         checks.append((lambda: square_mean(nm.slice_axis(x, 1, 1, 3)), [x]))
         checks.append((lambda: square_mean(nm.reshape(x, (4, 3))), [x]))
@@ -429,6 +433,11 @@ def build_from_choices(choices):
     return build
 
 
+def mlp_sharing_a_weight(x, y, b, c):
+    w = nm.reshape(nm.slice_axis(y, 1, 0, 2), (4, 4))
+    return squared(nm.mlp(x, w, b, w, c))
+
+
 EXPLICIT_GRAPHS = {
     "add(x, x)": lambda v: squared(nm.add(v[0], v[0])),
     "add(x, y)": lambda v: squared(nm.add(v[0], v[1])),
@@ -439,6 +448,7 @@ EXPLICIT_GRAPHS = {
         nm.add(nm.transpose(nm.reshape(nm.transpose(v[0], (2, 0, 1)), (4, 6)), (1, 0)), nm.reshape(v[1], (6, 4)))
     ),
     "bias_add": lambda v: nm.add(squared(nm.bias_add(v[0], v[2])), squared(nm.bias_add(nm.scale(v[0], 2.0), v[2]))),
+    "mlp with one weight for both products": lambda v: mlp_sharing_a_weight(*v),
 }
 
 
@@ -467,6 +477,82 @@ class TestGradientBuffers:
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=6))
     def test_drawn_graphs(self, choices):
         self.check(build_from_choices(choices))
+
+
+def composed_mlp(x, w1, b1, w2, b2):
+    return nm.bias_add(nm.matmul(nm.gelu(nm.bias_add(nm.matmul(x, w1), b1)), w2), b2)
+
+
+class TestMlp:
+    """``mlp`` is the five-op composition as one tape node, byte for byte."""
+
+    @staticmethod
+    def run(op, arrays, grads, recorded):
+        """``op``'s output bytes, each input's gradient bytes (None without
+        one) and the slope flags ``_gelu`` was called with."""
+        flags = []
+        real = nm._gelu
+
+        def spy(h, out, slope):
+            flags.append(slope)
+            return real(h, out, slope)
+
+        tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, grads)]
+        graph = Graph() if recorded else contextlib.nullcontext()
+        with patch.object(nm, "_gelu", spy), graph:
+            out = op(*tensors)
+        if out.graph is not None:
+            with graph:
+                loss = squared(out)
+            backward(loss)
+        got = [None if t.grad is None else t.grad.tobytes() for t in tensors]
+        return out.data.tobytes(), got, flags
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        lead=st.sampled_from([(1, 1), (3,), (2, 8), (17,), (2, 3, 6)]),  # (1, 1): the shared placeholder row
+        dims=st.tuples(st.integers(1, 9), st.integers(1, 12), st.integers(1, 9)),
+        grads=st.tuples(*[st.booleans()] * 5),
+        recorded=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_composition(self, lead, dims, grads, recorded, seed):
+        d_in, d_hidden, d_out = dims
+        rng = np.random.default_rng(seed)
+        shapes = [(*lead, d_in), (d_in, d_hidden), (d_hidden,), (d_hidden, d_out), (d_out,)]
+        arrays = [rng.uniform(-3, 3, s) for s in shapes]
+        out, got, flags = self.run(nm.mlp, arrays, grads, recorded)
+        want_out, want, _ = self.run(composed_mlp, arrays, grads, recorded)
+        assert out == want_out
+        assert got == want
+        assert (got != [None] * 5) == (recorded and any(grads))
+        # the slope is taken only for a recorded node whose GELU input needs a gradient
+        assert flags == [recorded and any(grads[:3])]
+
+    def test_the_node_keeps_the_input_the_slope_and_the_gelu_output(self):
+        rng = np.random.default_rng(5)
+        x = param(rng.uniform(-3, 3, (2, 20, 6)))
+        w1, b1 = param(rng.uniform(-1, 1, (6, 8))), param(rng.uniform(-1, 1, 8))
+        w2, b2 = param(rng.uniform(-1, 1, (8, 5))), param(rng.uniform(-1, 1, 5))
+        with Graph() as graph:
+            nm.mlp(x, w1, b1, w2, b2)
+        ((_, backward_fn),) = graph._nodes
+        cells = [cell.cell_contents for cell in backward_fn.__closure__]
+        held = [a for a in cells if isinstance(a, np.ndarray) and a is not w1.data and a is not w2.data]
+        assert len(held) == 3
+        pre = nm.bias_add(nm.matmul(x, w1), b1).data.reshape(-1, 8)
+        t = np.tanh(nm._GELU_C * (pre + nm._GELU_A * pre**3))
+        (kept_x,) = [a for a in held if np.shares_memory(a, x.data)]
+        (output,) = [a for a in held if a.tobytes() == nm.gelu(Tensor(pre)).data.tobytes()]
+        (slope,) = [a for a in held if a is not kept_x and a is not output]
+        assert kept_x.tobytes() == x.data.tobytes()
+        np.testing.assert_allclose(slope, (t + 1) + pre * (1 - t * t) * nm._GELU_C * (1 + 3 * nm._GELU_A * pre**2))
+
+    def test_shapes_that_disagree_are_named(self):
+        x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(DimensionError) as err:
+            nm.mlp(x, w, b, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
+        assert "(3, 4)" in str(err.value) and "(5, 2)" in str(err.value)
 
 
 class TestFiniteDiff:

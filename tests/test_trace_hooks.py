@@ -69,3 +69,30 @@ def test_installed_tracer_times_the_one_checkpoint_read(tmp_path):
         with tracer.Tracer().installed() as t:
             load(path)
         assert t.take().calls["model.read_checkpoint"] == 1, load.__name__
+
+
+def test_the_tracer_leaves_the_bytes_alone():
+    """The tracer wraps ``record_op`` and every backward closure; a training
+    step's forecast, loss and leaf gradients keep their bytes under it."""
+    config = model.ElasTSTConfig(
+        patch_sizes=(4, 8),
+        period_spec=PeriodSpec(1.0, 100.0, 8),
+        attention=AttentionConfig(d_model=16, n_heads=2, head_dim=8, d_ff=24, n_layers=2),
+        lookback=16,
+    )
+    rng = np.random.default_rng(3)
+    contexts, targets = rng.standard_normal((4, 16)), rng.standard_normal((4, 12))
+
+    def step():
+        state = model.ModelState.init(config, seed=5)
+        with numerics.Graph():
+            forecast = training.forward_batch(state, contexts, 12)
+            loss = training.composite_loss(forecast, targets, np.full(12, 1.0 / 48))
+        training.backward(loss)
+        return [forecast.values.tobytes(), loss.data.tobytes()] + [t.grad.tobytes() for _, t in state.trainable()]
+
+    plain = step()
+    with load_tracer().Tracer().installed() as t:
+        traced = step()
+    assert t.take().counters["numerics.tape_ops"] > 0
+    assert traced == plain
