@@ -91,31 +91,25 @@ def varied_horizon_eval(
     produced. Read-only on the model.
 
     Each distinct window (variate, start) is forecast once, at the longest
-    requested horizon that uses it; shorter horizons score its first
-    columns. That is exact: a window's forecast is bitwise independent of
-    the horizon (placeholders are never attention keys) and of its batch
-    (fixed-block GEMMs), so the report equals one run per horizon byte for byte.
+    requested horizon that uses it: horizons are walked longest first, and
+    shorter ones score the first columns of forecasts already made. That is
+    exact: a window's forecast is bitwise independent of the horizon
+    (placeholders are never attention keys) and of its batch (fixed-block
+    GEMMs), so the report equals one run per horizon byte for byte.
     """
     # every horizon is sized (SizingError) before any forward pass; training
     # sizes its validation split first, so a failure here is the test split's
     plans = {h: data_io.stride_windows(values, lookback, h, stride, what="test split") for h in horizons}
-    longest = np.zeros(values.shape[::-1], dtype=np.int64)  # (variate, start) -> longest horizon
-    for horizon, (variates, starts) in plans.items():
-        np.maximum.at(longest, (variates, starts), horizon)
-    forecasts: dict[tuple[int, int], np.ndarray] = {}
-    for horizon, (variates, starts) in plans.items():
-        mine = longest[variates, starts] == horizon
-        if mine.any():
-            variates, starts = variates[mine], starts[mine]
-            contexts, _ = data_io.window_values(values, variates, starts, lookback, horizon)
-            keys = zip(variates.tolist(), starts.tolist())
-            forecasts.update(zip(keys, forward_batch(state, contexts, horizon).values))
-
-    rows = []
-    for horizon in horizons:
+    forecasts: dict[tuple[int, int], np.ndarray] = {}  # (variate, start) -> its longest forecast
+    rows: dict[int, MetricRow] = {}
+    for horizon in sorted(plans, reverse=True):
         variates, starts = plans[horizon]
-        _, actual = data_io.window_values(values, variates, starts, lookback, horizon)
-        preds = np.stack([forecasts[key][:horizon] for key in zip(variates.tolist(), starts.tolist())])
+        contexts, actual = data_io.window_values(values, variates, starts, lookback, horizon)
+        keys = list(zip(variates.tolist(), starts.tolist()))
+        new = [i for i, key in enumerate(keys) if key not in forecasts]
+        if new:
+            forecasts.update(zip([keys[i] for i in new], forward_batch(state, contexts[new], horizon).values))
+        preds = np.stack([forecasts[key][:horizon] for key in keys])
         actual, preds = scaler.inverse(actual, variates[:, None]), scaler.inverse(preds, variates[:, None])
-        rows.append(MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(starts)))
-    return MetricReport(rows=rows, dataset=dataset, checkpoint_id=checkpoint_id)
+        rows[horizon] = MetricRow(horizon, nmae(actual, preds), nrmse(actual, preds), windows=len(starts))
+    return MetricReport(rows=[rows[h] for h in horizons], dataset=dataset, checkpoint_id=checkpoint_id)

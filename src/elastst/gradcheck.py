@@ -29,7 +29,7 @@ def tiny_config() -> ElasTSTConfig:
     )
 
 
-def tiny_report(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
+def tiny_report(seed: int = 0) -> dict[str, float]:
     """Max relative gradient error per parameter group on the tiny model."""
     state = ModelState.init(tiny_config(), seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -41,4 +41,4 @@ def tiny_report(seed: int = 0, step: float = 1e-5) -> dict[str, float]:
         forecast = forward_batch(state, context[None, :], TINY_HORIZON)
         return composite_loss(forecast, target, weights)
 
-    return finite_diff_report(loss, state.trainable(), step=step)
+    return finite_diff_report(loss, state.trainable())

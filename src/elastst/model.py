@@ -24,7 +24,6 @@ is on by default; the loss is computed on the normalized scale.
 
 from __future__ import annotations
 
-import math
 import os
 from copy import deepcopy
 from dataclasses import dataclass
@@ -45,6 +44,9 @@ CHECKPOINT_MAGIC = "ELASTST-CKPT v1"
 # B windows; any value gives the same bytes
 ROWS = 512
 
+# added to each context's std before instance normalization divides by it
+INSTANCE_NORM_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class ElasTSTConfig:
@@ -53,7 +55,6 @@ class ElasTSTConfig:
     attention: AttentionConfig
     lookback: int
     instance_norm: bool = True
-    instance_norm_eps: float = 1e-5
 
     def __post_init__(self):
         sizes = tuple(int(p) for p in self.patch_sizes)
@@ -66,8 +67,6 @@ class ElasTSTConfig:
         object.__setattr__(self, "patch_sizes", tuple(sorted(sizes)))
         if self.lookback < 1:
             raise ParameterError(f"lookback must be >= 1, got {self.lookback}")
-        if not (math.isfinite(self.instance_norm_eps) and self.instance_norm_eps > 0):
-            raise ParameterError(f"instance_norm_eps must be finite and > 0, got {self.instance_norm_eps}")
         if self.period_spec.head_dim != self.attention.head_dim:
             raise ParameterError(
                 f"period_spec.head_dim {self.period_spec.head_dim} differs from "
@@ -198,7 +197,7 @@ def forward_batch(state: ModelState, contexts: np.ndarray, horizon: int) -> Fore
 
     if cfg.instance_norm:
         offset = contexts.mean(axis=1)
-        denom = contexts.std(axis=1) + cfg.instance_norm_eps
+        denom = contexts.std(axis=1) + INSTANCE_NORM_EPS
     else:  # x - 0.0 and x / 1.0 are x, bit for bit
         offset = np.zeros(b)
         denom = np.ones(b)
@@ -276,7 +275,7 @@ def _config_echo(config: ElasTSTConfig) -> dict[str, str]:
         "n_layers": str(config.attention.n_layers),
         "lookback": str(config.lookback),
         "instance_norm": "true" if config.instance_norm else "false",
-        "instance_norm_eps": repr(config.instance_norm_eps),
+        "instance_norm_eps": repr(INSTANCE_NORM_EPS),
         "p_min": repr(config.period_spec.p_min),
         "p_max": repr(config.period_spec.p_max),
     }
@@ -308,6 +307,13 @@ def finite_block(shape: tuple[int, ...]):
     return parse
 
 
+def _norm_eps(text: str) -> float:
+    value = float(text)
+    if value != INSTANCE_NORM_EPS:
+        raise ValueError(f"must be {INSTANCE_NORM_EPS!r}, got {value!r}")
+    return value
+
+
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -318,6 +324,7 @@ def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
     def field(key, parse=int):
         return lookup(path, echo, key, parse)
 
+    field("instance_norm_eps", _norm_eps)  # a constant, echoed for readers of the file
     try:
         attention = AttentionConfig(*(field(key) for key in ("d_model", "n_heads", "head_dim", "d_ff", "n_layers")))
         return ElasTSTConfig(
@@ -326,7 +333,6 @@ def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
             attention=attention,
             lookback=field("lookback"),
             instance_norm=field("instance_norm", _flag),
-            instance_norm_eps=field("instance_norm_eps", float),
         )
     except ParameterError as exc:
         raise FormatError(f"{path}: checkpoint config echo is invalid: {exc}") from None

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, DimensionError
 
 # rows per GEMM call for every forward product; do not vary per call site
 _ROW_BLOCK = 16
@@ -591,11 +591,10 @@ def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
 # verification harness
 
 
-def finite_diff_report(
-    f: Callable[[], Tensor],
-    named_params: Sequence[tuple[str, Tensor]],
-    step: float = 1e-5,
-) -> dict[str, float]:
+FD_STEP = 1e-5  # central-difference step of ``finite_diff_report``
+
+
+def finite_diff_report(f: Callable[[], Tensor], named_params: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
     """Max relative error between analytic and central-difference gradients,
     per named parameter.
 
@@ -603,8 +602,6 @@ def finite_diff_report(
     parameters. Relative error is |analytic - numeric| / max(1e-8,
     |analytic| + |numeric|).
     """
-    if step <= 0:
-        raise ParameterError(f"finite-difference step must be positive, got {step}")
     for _, p in named_params:
         p.grad = None
     with Graph():
@@ -622,12 +619,12 @@ def finite_diff_report(
         worst = 0.0
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             f_plus = float(f().data)
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             f_minus = float(f().data)
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             err = abs(a[idx] - numeric) / max(1e-8, abs(a[idx]) + abs(numeric))
             worst = max(worst, err)
         report[name] = worst

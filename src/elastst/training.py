@@ -42,6 +42,11 @@ from .numerics import Graph, backward
 
 REWEIGHT_MODES = ("log-approx", "exact-harmonic", "fixed-uniform", "sampled")
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -136,9 +141,6 @@ def adam_step(
     m: list[np.ndarray],
     v: list[np.ndarray],
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     step_count: int = 1,
 ) -> None:
     """Standard bias-corrected Adam update, in place. ``step_count`` is 1-based.
@@ -146,14 +148,14 @@ def adam_step(
     shape, ``DimensionError`` is raised before anything is updated."""
     for what, arrays in (("gradient", grads), ("first moment", m), ("second moment", v)):
         _check_like(params, arrays, what)
-    bc1 = 1.0 - beta1**step_count
-    bc2 = 1.0 - beta2**step_count
+    bc1 = 1.0 - BETA1**step_count
+    bc2 = 1.0 - BETA2**step_count
     for p, g, mi, vi in zip(params, grads, m, v):
-        mi *= beta1
-        mi += (1.0 - beta1) * g
-        vi *= beta2
-        vi += (1.0 - beta2) * (g * g)
-        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+        mi *= BETA1
+        mi += (1.0 - BETA1) * g
+        vi *= BETA2
+        vi += (1.0 - BETA2) * (g * g)
+        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +258,38 @@ def load_training_checkpoint(path) -> Checkpoint:
     )
 
 
-def train(
-    state: ModelState,
-    data: TrainData,
-    config: TrainConfig,
-    resume: Checkpoint | None = None,
-) -> Checkpoint:
-    """Train in place and return the best-validation checkpoint.
+def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) -> Checkpoint:
+    """Train ``start``'s model in place and return the best-validation checkpoint.
 
-    Both splits are sized first: each needs ``lookback + t_max`` steps, or
-    ``SizingError`` is raised before the log is opened or a step is run.
+    ``start`` is a fresh model, which starts as an epoch-0 checkpoint (zero
+    moments, step 0, best ``inf``, no log rows), or the ``Checkpoint`` to
+    resume. Both splits are sized for ``start``'s lookback and ``t_max``
+    (``SizingError``) before the log is opened or a step is run. The log
+    keeps ``start``'s rows up to its epoch; with ``config.log_path`` and a
+    start past epoch 0 they are read back from that log, which must hold one
+    row for each epoch (``FormatError``), and the log is then rewritten whole.
 
-    Each step samples ``batch_size`` random windows at horizon ``t_max``,
-    applies the reweighted composite loss, and Adam-updates. Validation
-    NMAE at ``t_max`` drives best-checkpoint retention: each improving epoch
-    is written to ``config.checkpoint_path``, and if none improves on the
-    start, the start is written when training ends. Adam runs on the
-    ``trainable()`` leaves, with one moment array per leaf; the checkpoint
-    file writes them per head block. A non-finite step loss, or gradient
-    (named by its leaf), raises ``FloatingPointError`` before the Adam
-    update, so the parameters keep their values; a non-finite validation NMAE
-    raises it after the epoch's updates. Either way the checkpoint file
-    still holds the last (finite) best. Nothing else stops training: a run
-    that diverges to huge but finite losses runs every epoch and returns.
-
-    A fresh run resumes from epoch 0: zero moments, step 0, best ``inf``
-    and an empty log. The log keeps the rows for epochs up to the start;
-    on ``resume`` with ``config.log_path`` they are read back from that
-    log, which must hold one row for each of them, and it is then
-    rewritten whole.
+    Each step samples ``batch_size`` windows at horizon ``t_max``, applies
+    the reweighted composite loss and Adam-updates the ``trainable()``
+    leaves. A non-finite step loss or gradient (named by its leaf) raises
+    ``FloatingPointError`` before the update; a non-finite validation NMAE
+    raises it after the epoch. Nothing else stops training: a run that
+    diverges to huge but finite losses runs every epoch and returns. Each
+    epoch that improves validation NMAE at ``t_max`` is written to
+    ``config.checkpoint_path``; if none does, the start is written at the end.
     """
+    if isinstance(start, ModelState):
+        zeros = [np.zeros_like(t.data) for _, t in start.trainable()]
+        start = Checkpoint(start, zeros, [np.zeros_like(a) for a in zeros], 0, 0, math.inf)
+    state, m, v, step_count = start.state, start.adam_m, start.adam_v, start.step_count
+    start_epoch, best = start.epoch, start.best_val_nmae
     lookback = state.config.lookback
     data_io.check_split(data.train_values, lookback, config.t_max, "train split")
     data_io.check_split(data.val_values, lookback, config.t_max, "validation split")
 
-    start = resume
-    if start is None:  # a fresh run resumes from epoch 0
-        zeros = [np.zeros_like(t.data) for _, t in state.trainable()]
-        start = Checkpoint(state, zeros, [np.zeros_like(a) for a in zeros], 0, 0, math.inf)
-    state, m, v, step_count = start.state, start.adam_m, start.adam_v, start.step_count
-    start_epoch, best = start.epoch, start.best_val_nmae
     log = [row for row in start.log if row["epoch"] <= start_epoch]
-    if config.log_path:
-        if resume is not None:
-            log = [row for row in read_training_log(config.log_path) if row["epoch"] <= start_epoch]
+    if config.log_path and start_epoch > 0:
+        log = [row for row in read_training_log(config.log_path) if row["epoch"] <= start_epoch]
         if [row["epoch"] for row in log] != list(range(1, start_epoch + 1)):
             raise FormatError(f"{config.log_path}: does not hold one row for each epoch 1..{start_epoch}")
 

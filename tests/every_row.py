@@ -22,7 +22,7 @@ import numpy as np
 
 import elastst.numerics as nm
 from elastst import trope
-from elastst.model import Forecast
+from elastst.model import INSTANCE_NORM_EPS, Forecast
 from elastst.numerics import Tensor
 from elastst.patching import grid_dims, segment_batch, unpatch
 
@@ -60,7 +60,7 @@ def every_row_forward(state, contexts, horizon, use_key_mask=True):
     b, length = contexts.shape
     if cfg.instance_norm:
         offset = contexts.mean(axis=1)
-        denom = contexts.std(axis=1) + cfg.instance_norm_eps
+        denom = contexts.std(axis=1) + INSTANCE_NORM_EPS
         normed = (contexts - offset[:, None]) / denom[:, None]
     else:
         offset, denom, normed = np.zeros(b), np.ones(b), contexts

@@ -32,13 +32,13 @@ def mean(x: Tensor) -> Tensor:
     return record_op(out, (x,), backward_fn)
 
 
-def finite_diff_check(f, params, step: float = 1e-5) -> float:
+def finite_diff_check(f, params) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` evaluates the scalar loss from the current contents of ``params``.
     Relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
-    return max(finite_diff_report(f, [(str(i), p) for i, p in enumerate(params)], step).values())
+    return max(finite_diff_report(f, [(str(i), p) for i, p in enumerate(params)]).values())
 
 
 def relative_score(q, k, m: float, n: float, periods: TunablePeriods) -> float:

@@ -398,6 +398,9 @@ BAD_INPUTS = {
         "evaluate", "--config", str(cfg), "--checkpoint", str(tmp), "--horizons", "8"]),
     "checkpoint_echo_claims_a_huge_model": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
         tmp, "huge.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(b"\nd_model=16\n", b"\nd_model=1600000\n"))]),
+    "checkpoint_echo_with_another_instance_norm_eps": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
+        tmp, "eps.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(
+            b"\ninstance_norm_eps=1e-05\n", b"\ninstance_norm_eps=1e-06\n"))]),
     "horizon_not_an_integer": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "96,x")),
     "zero_stride": (2, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8", "--stride", "0")),
     "horizon_longer_than_split": (3, lambda cfg, tmp: _evaluate(cfg, tmp, "--horizons", "8,100000")),

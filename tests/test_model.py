@@ -324,13 +324,14 @@ class TestCheckpoint:
             ("missing instance_norm_eps", "is missing 'instance_norm_eps'"),
             ("transposed block", "'size8.enc.w1' is invalid: block is stored as 16 x 8, expected 8 x 16"),
             ("vector as column", "'size4.dec.b2' is invalid: block is stored as 4 x 1, expected 1 x 4"),
-            ("instance_norm_eps=nan", "instance_norm_eps must be finite and > 0, got nan"),
-            ("instance_norm_eps=0.0", "instance_norm_eps must be finite and > 0, got 0.0"),
-            ("instance_norm_eps=-1.0", "instance_norm_eps must be finite and > 0, got -1.0"),
+            ("instance_norm_eps=nan", "'instance_norm_eps' is invalid: must be 1e-05, got nan"),
+            ("instance_norm_eps=0.0", "'instance_norm_eps' is invalid: must be 1e-05, got 0.0"),
+            ("instance_norm_eps=-1.0", "'instance_norm_eps' is invalid: must be 1e-05, got -1.0"),
+            ("instance_norm_eps=1e-06", "'instance_norm_eps' is invalid: must be 1e-05, got 1e-06"),
         ],
         ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "invalid_echo_value",
              "missing_instance_norm", "missing_instance_norm_eps", "transposed_block", "vector_as_column",
-             "nan_eps", "zero_eps", "negative_eps"],
+             "nan_eps", "zero_eps", "negative_eps", "other_eps"],
     )
     def test_every_load_error_starts_with_the_path(self, tmp_path, case, says):
         path = tmp_path / "model.ckpt"

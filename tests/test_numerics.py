@@ -51,7 +51,7 @@ class TestMatmul:
         def f():
             return nm.scale(mean(nm.matmul(a, b)), 6.0)  # sum of all entries
 
-        assert finite_diff_check(f, [a, b], step=1e-5) < 1e-6
+        assert finite_diff_check(f, [a, b]) < 1e-6
 
     def test_batched_gradient(self):
         rng = np.random.default_rng(1)
@@ -561,7 +561,7 @@ class TestFiniteDiff:
         ones = Tensor(np.ones(2))
         zeros = Tensor(np.zeros(2))
         f = lambda: nm.mse(p, zeros, ones)  # sum of squares, gradient 2p
-        assert finite_diff_check(f, [p], step=1e-5) < 1e-9
+        assert finite_diff_check(f, [p]) < 1e-9
 
     def test_constant_function_reports_zero(self):
         p = param([1.0, 2.0])
@@ -573,7 +573,7 @@ class TestFiniteDiff:
             nm.scale(p, 0.0)  # touch p so it is recorded, contributes nothing
             return mean(nm.mul(c, c))
 
-        assert finite_diff_check(f_with_p, [p], step=1e-5) == 0.0
+        assert finite_diff_check(f_with_p, [p]) == 0.0
 
 
 class TestPlatformAssumptions:

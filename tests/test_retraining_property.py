@@ -78,8 +78,7 @@ def two_steps(case: dict, out: Path, stop: bool = False) -> tuple[bytes, list[st
     state = ModelState.init(config, seed=case["seed"])
     if stop:
         train(state, data, replace(train_config, epochs=1))
-        resume = load_training_checkpoint(checkpoint)
-        train(resume.state, data, train_config, resume=resume)
+        train(load_training_checkpoint(checkpoint), data, train_config)
     else:
         train(state, data, train_config)
     return checkpoint.read_bytes(), [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]

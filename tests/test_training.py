@@ -211,9 +211,26 @@ class TestTrain:
         resume = load_training_checkpoint(path)
         path.unlink()
         monkeypatch.setattr(training, "validation_nmae", lambda *args: (1e300, 1e300))  # no epoch improves
-        best = train(resume.state, data, dataclasses.replace(cfg, epochs=3), resume=resume)
+        best = train(resume, data, dataclasses.replace(cfg, epochs=3))
         assert best.epoch == 1 and [row["epoch"] for row in best.log] == [2, 3]
         assert path.read_bytes() == written
+
+    def test_a_resumed_run_samples_with_its_start_lookback(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        state, data, cfg = tiny_setup(epochs=1, checkpoint_path=path)
+        train(state, data, cfg)
+        start = load_training_checkpoint(path)
+        widths = []
+        real_forward = training.forward_batch
+
+        def spy(state, contexts, horizon):
+            widths.append(contexts.shape[1])
+            return real_forward(state, contexts, horizon)
+
+        monkeypatch.setattr(training, "forward_batch", spy)
+        train(start, data, dataclasses.replace(cfg, epochs=2))
+        assert len(widths) == cfg.batches_per_epoch
+        assert set(widths) == {start.state.config.lookback} == {16}
 
     def test_training_is_deterministic(self):
         def run():
@@ -250,7 +267,7 @@ class TestTrain:
             epochs=3,
             seed=5,
         )
-        train(state_half, data, cfg_resumed, resume=first)
+        train(first, data, cfg_resumed)
         for (_, a), b in zip(first.state.parameters(), full_params):
             np.testing.assert_array_equal(a.data, b)
 
@@ -267,7 +284,7 @@ class TestTrain:
         cfg = dataclasses.replace(cfg, log_path=str(log_path))
         train(state, data, cfg)
         resume = load_training_checkpoint(ckpt_path)
-        train(resume.state, data, dataclasses.replace(cfg, epochs=3), resume=resume)
+        train(resume, data, dataclasses.replace(cfg, epochs=3))
         assert len(without_wall_seconds(log_path)) == 4
         assert without_wall_seconds(log_path) == without_wall_seconds(straight_log)
 
@@ -289,7 +306,7 @@ class TestTrain:
         damaged = log_path.read_bytes()
         resume = load_training_checkpoint(ckpt_path)
         with pytest.raises(FormatError) as err:
-            train(resume.state, data, dataclasses.replace(cfg, epochs=2), resume=resume)
+            train(resume, data, dataclasses.replace(cfg, epochs=2))
         assert message in str(err.value)
         assert log_path.read_bytes() == damaged  # rejected before the log is rewritten
 

@@ -96,7 +96,7 @@ class TestRotate:
             out = rotate(x, np.arange(6), periods)
             return nm.mse(out, target, ones)
 
-        err = finite_diff_check(f, [x, periods.log_periods], step=1e-5)
+        err = finite_diff_check(f, [x, periods.log_periods])
         assert err < 1e-5
 
     def test_positivity_survives_any_update(self):
