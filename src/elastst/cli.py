@@ -213,9 +213,9 @@ def _resolve(text: str, names: tuple[str, ...], what: str, key=str) -> int:
 
 def cmd_train(args) -> int:
     config = build_config(args.config, args.set)
-    ds, train_v, val_v, _, scaler = _load_splits(config)
+    _, train_v, val_v, _, scaler = _load_splits(config)
     state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=config["train.seed"])
-    data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler, name=ds.name)
+    data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler)
     best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")
     print(f"checkpoint: {config['out.checkpoint']}")
@@ -231,19 +231,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--horizons must be comma-separated integers, got {args.horizons!r}") from None
     if any(h < 1 for h in horizons):
         raise ConfigError(f"horizons must be >= 1, got {args.horizons!r}")
-    checkpoint_path = args.checkpoint or config["out.checkpoint"]
-    state, _, _ = load_model(checkpoint_path)
-    ds, _, _, test_v, scaler = _load_splits(config)
-    report = evaluation.varied_horizon_eval(
-        state,
-        test_v,
-        state.config.lookback,
-        horizons,
-        scaler,
-        stride=args.stride,
-        dataset=ds.name,
-        checkpoint_id=str(checkpoint_path),
-    )
+    state, _, _ = load_model(args.checkpoint or config["out.checkpoint"])
+    *_, test_v, scaler = _load_splits(config)
+    report = evaluation.varied_horizon_eval(state, test_v, state.config.lookback, horizons, scaler, stride=args.stride)
     for row in report.rows:
         for name, value in (("NMAE", row.nmae), ("NRMSE", row.nrmse)):
             if not np.isfinite(value):

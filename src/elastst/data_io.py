@@ -2,11 +2,12 @@
 
 The input format is a wide CSV: header row, first column a timestamp (all
 integer indices, or all ISO-8601 and either all naive or all offset-aware),
-one column per variate after that. ``load_csv`` reads the whole table,
-converts its numbers a block of rows at a time, and checks one kind of
-defect at a time, reporting the first row of the first kind that fails:
-cell counts, unparsable cells, then the timestamps of the rows kept after
-dropping (and counting) those with a non-finite value.
+one column per variate after that. ``load_csv`` reads the file in one
+pass and checks each row in full before it reads the next: its cell count,
+each cell through ``float()``, then, unless a non-finite value drops (and
+counts) the row, its timestamp. So the first defective row in file order is
+the one reported, and beyond the returned values and timestamps the loader
+holds one row at a time.
 
 Multivariate series are consumed channel-independently: a window is a
 (variate, start) pair, samplers emit them as two index arrays, and
@@ -17,7 +18,8 @@ share the model weights downstream.
 from __future__ import annotations
 
 import csv
-import itertools
+import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -49,97 +51,76 @@ def timestamp_key(text: str):
     index, a datetime for ISO-8601 (``2016-07-02``, ``2016-07-02T00:00`` and
     ``2016-07-02 00:00:00`` are one value), None for anything else."""
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    if text.lstrip("+-").replace("_", "").isdecimal():  # int() accepts no other text
+        try:
+            return int(text)
+        except ValueError:  # "+-5", "1__0"
+            pass
     try:
         return datetime.fromisoformat(text)
     except ValueError:
         return None
 
 
-# rows per numeric conversion: the cells become floats a block at a time,
-# so the conversion holds one block's arrays beyond the table and the result
-CSV_BLOCK_ROWS = 256
-
-
-def _data_rows(table: list[list[str]]):
-    """(1-based file row, cells) of every non-empty row below the header."""
-    return ((i, cells) for i, cells in enumerate(itertools.islice(table, 1, None), start=2) if cells)
-
-
 def load_csv(path) -> Dataset:
     """Load a wide CSV into a Dataset, dropping non-finite rows."""
     path = Path(path)
+    values = array("d")  # the kept rows' floats, row after row
+    timestamps = []
+    dropped = 0
+    previous = None
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            table = list(csv.reader(f))
+            rows = csv.reader(f)
+            header = next(rows, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            if len(header) < 2:
+                raise FormatError(f"{path}: need a timestamp column plus at least one variate")
+            columns = tuple(c.strip() for c in header[1:])
+            for i, cells in enumerate(rows, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise FormatError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
+                row = []
+                try:
+                    for cell in cells[1:]:
+                        row.append(float(cell))
+                except ValueError:
+                    k = len(row)  # the cells before the bad one parsed
+                    raise IngestionError(
+                        f"{path}: row {i}, column {columns[k]!r}: cannot parse {cells[k + 1]!r} as a number"
+                    ) from None
+                if not all(map(math.isfinite, row)):
+                    dropped += 1
+                    continue
+                key = timestamp_key(cells[0])
+                if key is None:
+                    raise IngestionError(
+                        f"{path}: row {i}: timestamp {cells[0]!r} is neither an integer index nor ISO-8601"
+                    )
+                try:
+                    increases = previous is None or key > previous
+                except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
+                    raise IngestionError(
+                        f"{path}: row {i}: timestamp {cells[0]!r} is not of the same kind as the rows above"
+                    ) from None
+                if not increases:
+                    raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
+                previous = key
+                values.extend(row)
+                timestamps.append(cells[0].strip())
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if not table:
-        raise FormatError(f"{path}: empty file")
-    header = table[0]
-    if len(header) < 2:
-        raise FormatError(f"{path}: need a timestamp column plus at least one variate")
-    columns = tuple(c.strip() for c in header[1:])
-
-    n_rows = 0
-    for i, cells in _data_rows(table):
-        if len(cells) != len(header):
-            raise FormatError(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
-        n_rows += 1
-    values = np.empty((n_rows, len(columns)))
-    finite = np.empty(n_rows, dtype=bool)
-    rows = _data_rows(table)
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        block = list(itertools.islice(rows, CSV_BLOCK_ROWS))
-        try:
-            chunk = np.array([cells[1:] for _, cells in block], dtype=np.float64)
-        except ValueError:  # numpy parses strings as float() does; name the first bad cell
-            for i, cells in block:
-                for name, cell in zip(columns, cells[1:]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise IngestionError(
-                            f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
-                        ) from None
-            raise
-        values[start : start + len(block)] = chunk
-        finite[start : start + len(block)] = np.isfinite(chunk).all(axis=1)
-    n_kept = int(np.count_nonzero(finite))
-    if not n_kept:
+    if not timestamps:
         raise IngestionError(f"{path}: no usable data rows")
-
-    def kept_timestamps():  # checked and collected in one walk; no list is held beside the tuple
-        previous = None
-        for (i, cells), keep in zip(_data_rows(table), finite):
-            if not keep:
-                continue
-            key = timestamp_key(cells[0])
-            if key is None:
-                raise IngestionError(
-                    f"{path}: row {i}: timestamp {cells[0]!r} is neither an integer index nor ISO-8601"
-                )
-            try:
-                increases = previous is None or key > previous
-            except TypeError:  # an integer and an ISO time, or a naive and an offset-aware one
-                raise IngestionError(
-                    f"{path}: row {i}: timestamp {cells[0]!r} is not of the same kind as the rows above"
-                ) from None
-            if not increases:
-                raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
-            previous = key
-            yield cells[0].strip()
-
-    timestamps = tuple(kept_timestamps())
     return Dataset(
         name=path.stem,
-        timestamps=timestamps,
-        values=values if n_kept == n_rows else values[finite],
+        timestamps=tuple(timestamps),
+        values=np.frombuffer(values).reshape(len(timestamps), len(columns)),
         columns=columns,
-        dropped_rows=n_rows - n_kept,
+        dropped_rows=dropped,
     )
 
 

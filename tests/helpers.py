@@ -6,10 +6,13 @@
   ``numerics.finite_diff_report`` over all parameters;
 * ``relative_score``, criterion 3's inner product of two rotated vectors;
 * ``expected_weight_oracle``, criterion 6's Monte Carlo estimate of the
-  expected loss weight, independent of the harmonic computation.
+  expected loss weight, independent of the harmonic computation;
+* ``timestamp_key_oracle``, a timestamp's key as ``int()`` and then
+  ``datetime.fromisoformat()`` read it, with no test before ``int()``.
 """
 
 import math
+from datetime import datetime
 
 import numpy as np
 
@@ -68,3 +71,16 @@ def expected_weight_oracle(tau: int, t_max: int, n_samples: int, seed: int = 0, 
         return estimate
     se = float(w.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return estimate, se
+
+
+def timestamp_key_oracle(text: str):
+    """An int, a datetime, or None, as ``data_io.timestamp_key`` must return."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        return None

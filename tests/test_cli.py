@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
-from elastst import model, training
+from elastst import gradcheck, model, training
 from elastst.backbone import AttentionConfig
 from elastst.cli import build_config, build_parser, main, model_config
 from elastst.errors import ConfigError, DimensionError, FormatError
@@ -251,13 +251,23 @@ class TestEndToEnd:
         assert main(["train", "--config", str(config_path), "--set", "data.path=/no/such.csv"]) == 3
 
     def test_gradcheck_micro_config(self, capsys):
-        # full-size gradcheck runs in the acceptance suite; here just the
-        # command surface with the default tiny model
+        # the command surface; criterion 5 bounds the errors of this same
+        # tiny model, the only one gradcheck runs
         code = main(["gradcheck"])
         out = capsys.readouterr().out
         assert code == 0
         assert "max relative error" in out
         assert "trope.log_periods" in out
+
+    @pytest.mark.parametrize("worst, code", [(9.99e-5, 0), (1e-4, 4)])
+    def test_gradcheck_exits_4_when_the_worst_error_reaches_1e_4(self, worst, code, capsys, monkeypatch):
+        monkeypatch.setattr(gradcheck, "tiny_report", lambda seed: {"trope.log_periods": 1e-9, "backbone.0.wq": worst})
+        assert main(["gradcheck"]) == code
+        assert capsys.readouterr().out.splitlines() == [
+            "trope.log_periods            1.000e-09",
+            f"backbone.0.wq                {worst:.3e}",
+            f"max relative error: {worst:.3e}",
+        ]
 
 
 class TestCorruptCheckpoint:
@@ -398,6 +408,8 @@ BAD_INPUTS = {
         "evaluate", "--config", str(cfg), "--checkpoint", str(tmp), "--horizons", "8"]),
     "checkpoint_echo_claims_a_huge_model": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
         tmp, "huge.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(b"\nd_model=16\n", b"\nd_model=1600000\n"))]),
+    "checkpoint_echo_describes_an_invalid_model": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
+        tmp, "heads.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))]),
     "checkpoint_echo_with_another_instance_norm_eps": (3, lambda cfg, tmp: ["inspect-periods", "--checkpoint", _file(
         tmp, "eps.ckpt", Path(_checkpoint(cfg, tmp)).read_bytes().replace(
             b"\ninstance_norm_eps=1e-05\n", b"\ninstance_norm_eps=1e-06\n"))]),

@@ -328,10 +328,15 @@ class TestCheckpoint:
             ("instance_norm_eps=0.0", "'instance_norm_eps' is invalid: must be 1e-05, got 0.0"),
             ("instance_norm_eps=-1.0", "'instance_norm_eps' is invalid: must be 1e-05, got -1.0"),
             ("instance_norm_eps=1e-06", "'instance_norm_eps' is invalid: must be 1e-05, got 1e-06"),
+            ("n_heads=0", "checkpoint config echo is invalid: n_heads and n_layers must be >= 1"),
+            ("head_dim=5", "checkpoint config echo is invalid: head_dim must be even, got 5"),
+            ("patch_sizes=8,8", "checkpoint config echo is invalid: patch sizes must be distinct, got (8, 8)"),
+            ("p_min=2.0 p_max=1.0", "checkpoint config echo is invalid: need 0 < p_min < p_max < inf, got 2.0, 1.0"),
         ],
         ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "invalid_echo_value",
              "missing_instance_norm", "missing_instance_norm_eps", "transposed_block", "vector_as_column",
-             "nan_eps", "zero_eps", "negative_eps", "other_eps"],
+             "nan_eps", "zero_eps", "negative_eps", "other_eps", "no_heads", "odd_head_dim",
+             "repeated_patch_size", "periods_reversed"],
     )
     def test_every_load_error_starts_with_the_path(self, tmp_path, case, says):
         path = tmp_path / "model.ckpt"
@@ -352,8 +357,9 @@ class TestCheckpoint:
         elif case == "vector as column":
             arrays["size4.dec.b2"] = arrays["size4.dec.b2"].reshape(4, 1)
         elif "=" in case:
-            key, value = case.split("=")
-            echo[key] = value
+            for setting in case.split():
+                key, value = setting.split("=")
+                echo[key] = value
         else:
             del echo[case.split()[1]]
         rewrite(path, echo, arrays)
