@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 # key -> (parser, default); None default means "required where used"
 CONFIG_KEYS = {
     "data.path": (str, None),
-    "data.split": (_parse_float_list, (0.7, 0.1, 0.2)),
+    "data.split": (_parse_float_list, astuple(data_io.SplitSpec())),
     "model.patch_sizes": (_parse_int_list, (8, 16, 32)),
     "model.d_model": (int, 64),
     "model.n_heads": (int, 4),
@@ -60,16 +61,16 @@ CONFIG_KEYS = {
     "model.d_ff": (int, 128),
     "model.n_layers": (int, 2),
     "model.lookback": (int, 96),
-    "model.instance_norm": (_parse_bool, True),
+    "model.instance_norm": (_parse_bool, ElasTSTConfig.instance_norm),
     "trope.p_min": (float, 1.0),
     "trope.p_max": (float, 1000.0),
-    "train.t_max": (int, 720),
-    "train.reweight_mode": (str, "log-approx"),
-    "train.lr": (float, 0.001),
-    "train.epochs": (int, 50),
-    "train.batches_per_epoch": (int, 100),
-    "train.batch_size": (int, 32),
-    "train.seed": (int, 0),
+    "train.t_max": (int, training.TrainConfig.t_max),
+    "train.reweight_mode": (str, training.TrainConfig.reweight_mode),
+    "train.lr": (float, training.TrainConfig.learning_rate),
+    "train.epochs": (int, training.TrainConfig.epochs),
+    "train.batches_per_epoch": (int, training.TrainConfig.batches_per_epoch),
+    "train.batch_size": (int, training.TrainConfig.batch_size),
+    "train.seed": (int, training.TrainConfig.seed),
     "out.checkpoint": (str, "model.ckpt"),
     "out.log": (str, "training_log.csv"),
 }
@@ -194,13 +195,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve(text: str, names: tuple[str, ...], what: str, key=str) -> int:
-    """The position ``text`` picks in ``names``: the name equal to it (by
-    ``key``), else ``text`` read as an index in [-n, n), negative counting
-    from the end. Anything else is a data error."""
-    keys = [key(name) for name in names]
-    if key(text) in keys:
-        return keys.index(key(text))
+def _resolve(text: str, names: tuple, what: str, key=str) -> int:
+    """The position ``text`` picks in ``names``: the name equal to
+    ``key(text)``, else ``text`` read as an index in [-n, n), negative
+    counting from the end. Anything else is a data error."""
+    wanted = key(text)
+    if wanted in names:
+        return names.index(wanted)
     n = len(names)
     try:
         index = int(text)

@@ -7,7 +7,8 @@ pass and checks each row in full before it reads the next: its cell count,
 each cell through ``float()``, then, unless a non-finite value drops (and
 counts) the row, its timestamp. So the first defective row in file order is
 the one reported, and beyond the returned values and timestamps the loader
-holds one row at a time.
+holds one row at a time. ``Dataset.timestamps`` holds each kept row's
+``timestamp_key``, the value it was ordered by, not the file's text.
 
 Multivariate series are consumed channel-independently: a window is a
 (variate, start) pair, samplers emit them as two index arrays, and
@@ -31,8 +32,11 @@ from .errors import FormatError, IngestionError, ParameterError, SizingError
 
 @dataclass(frozen=True)
 class Dataset:
+    """A loaded CSV: one row of ``values`` per kept data row, and that row's
+    ``timestamp_key`` (an int or a datetime) in ``timestamps``."""
+
     name: str
-    timestamps: tuple[str, ...]
+    timestamps: tuple[int | datetime, ...]
     values: np.ndarray  # (V, K)
     columns: tuple[str, ...]
     dropped_rows: int = 0
@@ -110,7 +114,7 @@ def load_csv(path) -> Dataset:
                     raise IngestionError(f"{path}: row {i}: timestamp {cells[0]!r} does not increase strictly")
                 previous = key
                 values.extend(row)
-                timestamps.append(cells[0].strip())
+                timestamps.append(key)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: {exc}") from None
     if not timestamps:
@@ -172,6 +176,8 @@ def split_and_scale(
     The fractions are taken to 12 decimal places and the bounds computed
     in integers, so a bound that is a whole number of steps, like 0.8 of
     10000, is exact (0.7 + 0.1 is 0.7999999999999999 in floating point).
+    A column whose train-split mean or std is not finite (its std overflows
+    once values stray about 1.3e154 from the mean) raises ``IngestionError``.
     """
     v = ds.n_steps
     unit = 10**12
@@ -191,7 +197,14 @@ def split_and_scale(
                     f"(short by {min_len - (hi - lo)})"
                 )
     train = ds.values[: bounds["train"][1]]
-    scaler = Scaler.fit(train)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        scaler = Scaler.fit(train)
+    bad = np.flatnonzero(~(np.isfinite(scaler.mean) & np.isfinite(scaler.std)))
+    if bad.size:
+        raise IngestionError(
+            f"column {ds.columns[bad[0]]!r}: the train split's mean or std is not finite; "
+            "its values are too large to standardize"
+        )
     return (
         scaler.transform(train),
         scaler.transform(ds.values[bounds["val"][0] : bounds["val"][1]]),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_io
-from .errors import DimensionError, MetricUndefinedError
+from .errors import DimensionError, MetricUndefinedError, ParameterError
 from .model import ModelState, forward_batch
 
 
@@ -96,7 +96,12 @@ def varied_horizon_eval(
     exact: a window's forecast is bitwise independent of the horizon
     (placeholders are never attention keys) and of its batch (fixed-block
     GEMMs), so the report equals one run per horizon byte for byte.
+
+    ``lookback`` must be the model's own, ``state.config.lookback``
+    (``ParameterError`` otherwise).
     """
+    if lookback != state.config.lookback:
+        raise ParameterError(f"lookback {lookback} differs from the model's lookback {state.config.lookback}")
     # every horizon is sized (SizingError) before any forward pass; training
     # sizes its validation split first, so a failure here is the test split's
     plans = {h: data_io.stride_windows(values, lookback, h, stride, what="test split") for h in horizons}

@@ -246,7 +246,7 @@ def composite_loss(forecast: Forecast, target: np.ndarray, weights: np.ndarray) 
     if target.shape != shape:
         raise DimensionError(f"target shape {target.shape} does not match forecast {shape}")
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim == 1:
+    if weights.shape == shape[1:]:
         weights = np.broadcast_to(weights, shape)
     if weights.shape != shape:
         raise DimensionError(f"weights shape {weights.shape} does not match forecast {shape}")

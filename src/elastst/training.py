@@ -296,9 +296,6 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
     leaves = state.trainable()  # gradients accumulate here, and Adam updates these in place
     params = [t.data for _, t in leaves]
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best)
-    fixed_weights = (
-        None if config.reweight_mode == "sampled" else reweight_vector(config.t_max, config.reweight_mode)
-    )
     if config.log_path:  # opened before the first step, so an unwritable log fails early
         write_training_log(config.log_path, log)
 
@@ -313,9 +310,7 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
             contexts, targets = data_io.window_values(
                 data.train_values, variates, starts, lookback, config.t_max
             )
-            w = fixed_weights if fixed_weights is not None else reweight_vector(
-                config.t_max, "sampled", rng=rng
-            )
+            w = reweight_vector(config.t_max, config.reweight_mode, rng)  # only "sampled" draws from rng
 
             for _, t in leaves:
                 t.grad = None

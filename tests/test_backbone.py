@@ -38,6 +38,8 @@ class TestConfig:
             AttentionConfig(16, 2, 7, 24, 1)
         with pytest.raises(ParameterError):
             AttentionConfig(16, 2, 8, 24, 0)
+        with pytest.raises(ParameterError):
+            AttentionConfig(0, 2, 8, 24, 1)
 
 
 def attend(h, n_keys, periods, weights, first_query=0):

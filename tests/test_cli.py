@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values, write_csv
-from elastst import gradcheck, model, training
+from elastst import cli, data_io, evaluation, gradcheck, model, training
 from elastst.backbone import AttentionConfig
-from elastst.cli import build_config, build_parser, main, model_config
+from elastst.cli import build_config, build_parser, main, model_config, train_config
 from elastst.errors import ConfigError, DimensionError, FormatError
 from elastst.model import ElasTSTConfig, ModelState, load_model, write_checkpoint
 from elastst.trope import PeriodSpec
@@ -86,6 +86,12 @@ class TestDefaults:
     def test_evaluate_accepts_the_standard_horizon_grid(self):
         args = build_parser().parse_args(["evaluate"])
         assert args.horizons == "96,192,336,720,1024"
+
+    def test_unset_keys_take_the_api_defaults(self):
+        config = build_config(None, [])
+        assert train_config(config) == training.TrainConfig(checkpoint_path="model.ckpt", log_path="training_log.csv")
+        assert data_io.SplitSpec(*config["data.split"]) == data_io.SplitSpec()
+        assert config["model.instance_norm"] is ElasTSTConfig.instance_norm
 
 
 class TestHelp:
@@ -428,6 +434,8 @@ BAD_INPUTS = {
     "nan_learning_rate": (2, lambda cfg, tmp: _train(cfg, tmp, "train.lr=nan")),
     "nan_split_fraction": (2, lambda cfg, tmp: _train(cfg, tmp, "data.split=0.7,0.15,nan")),
     "infinite_rotary_period": (2, lambda cfg, tmp: _train(cfg, tmp, "trope.p_max=inf")),
+    "unknown_reweight_mode": (2, lambda cfg, tmp: _train(cfg, tmp, "train.reweight_mode=bogus")),
+    "zero_t_max": (2, lambda cfg, tmp: _train(cfg, tmp, "train.t_max=0")),
 }
 
 
@@ -508,7 +516,8 @@ def _output(capsys, argv) -> str:
 
 class TestHugeInputValues:
     """A finite but huge CSV value gives finite output and a quiet stderr, or
-    exit 4 with one line; numpy's overflow warnings never reach stderr."""
+    exit 3 (a train split too large to standardize) or 4 with one line;
+    numpy's overflow warnings never reach stderr."""
 
     @staticmethod
     def run(workspace, tmp_path, capsys, instance_norm, *argv):
@@ -543,6 +552,31 @@ class TestHugeInputValues:
         code, out, err = self.run(workspace, tmp_path, capsys, "false", "evaluate", "--horizons", "8,4")
         assert (code, out) == (4, "")
         assert err == ["numeric failure: NRMSE at horizon 4 is not finite: inf"]
+
+    @pytest.mark.parametrize("make_args", [
+        lambda cfg, tmp, data_path: _train(cfg, tmp, data_path),
+        lambda cfg, tmp, data_path: _evaluate(cfg, tmp, "--set", data_path),
+        lambda cfg, tmp, data_path: _forecast(cfg, tmp, "--set", data_path),
+    ], ids=["train", "evaluate", "forecast"])
+    def test_a_train_split_too_large_to_standardize_is_a_data_error(
+        self, make_args, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        for module in (cli, training, evaluation):
+            monkeypatch.setattr(module, "forward_batch", no_forward)
+        _, config_path = workspace
+        values = make_sinusoid_values(n_steps=400, n_variates=2, seed=9)
+        values[5, 1] = 1e200  # in the train split: its std overflows
+        data_path = f"data.path={write_csv(tmp_path / 'huge.csv', values)}"
+        assert main(make_args(config_path, tmp_path, data_path)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "data error: column 'v1': the train split's mean or std is not finite; "
+            "its values are too large to standardize"
+        ]
 
 
 class TestEachCommandSizesWhatItReads:
@@ -591,6 +625,26 @@ class TestResolve:
         csv_path = write_csv(tmp_path / "hourly.csv", values, hours)
         spellings = ("2016-07-02 00:00:00", "2016-07-02", "2016-07-02T00:00:00", "24")
         assert len({forecast(csv_path, "--at", at) for at in spellings}) == 1
+
+    def test_at_keys_its_own_text_once_and_no_row_again(self, forecast, tmp_path, monkeypatch):
+        values = make_sinusoid_values(n_steps=400, n_variates=2, seed=4)
+        csv_path = write_csv(tmp_path / "from_1000.csv", values, [str(1000 + i) for i in range(400)])
+        key, load = data_io.timestamp_key, data_io.load_csv
+        calls = []
+
+        def counted_key(text):
+            calls.append(text)
+            return key(text)
+
+        def load_then_count_afresh(path):
+            ds = load(path)
+            calls.clear()  # load_csv keys every row once, to check the order
+            return ds
+
+        monkeypatch.setattr(data_io, "timestamp_key", counted_key)
+        monkeypatch.setattr(data_io, "load_csv", load_then_count_afresh)
+        forecast(csv_path, "--at", "1200")
+        assert calls == ["1200"]
 
     def test_column_names_win_over_column_indices(self, forecast, tmp_path):
         values = make_sinusoid_values(n_steps=400, n_variates=3, seed=4)
@@ -642,6 +696,16 @@ class TestModuleEntryPoint:
         assert result.stderr.splitlines() == [
             "configuration error: missing required configuration key 'data.path'"
         ]
+
+    def test_python_m_prints_the_help(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "elastst.cli", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: elastst ") and "train.t_max" in result.stdout
 
 
 class TestThreadPin:

@@ -48,6 +48,14 @@ class TestLoadCsv:
         with pytest.raises(IngestionError):
             load_csv(path)
 
+    def test_blank_lines_are_skipped_and_counted_in_row_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("ts,a\n1,1.0\n\n2,2.0\n")
+        assert load_csv(path).values.tolist() == [[1.0], [2.0]]
+        path.write_text("ts,a\n1,1.0\n\n2,oops\n")
+        with pytest.raises(IngestionError, match="row 4, column 'a'"):
+            load_csv(path)
+
     def test_unparsable_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("ts,a,b\n1,1.0,2.0\n2,oops,4.0\n")
@@ -106,7 +114,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("n_rows", [10_000, 40_000])
     def test_loading_holds_little_beyond_the_dataset(self, tmp_path, n_rows):
         """The file is read in one pass, a row at a time, so the peak above
-        the returned values and timestamp strings stays under 1 MiB (the
+        the returned values and timestamp keys stays under 1 MiB (the
         file's cell strings alone take 17 MiB at 40 000 rows)."""
         path = write_csv(tmp_path / "long.csv", np.random.default_rng(3).standard_normal((n_rows, 4)))
         tracemalloc.start()
@@ -176,6 +184,14 @@ class TestScalerAndSplit:
         ds = load_csv(write_csv(tmp_path / "long.csv", values))
         train, val, test, _ = split_and_scale(ds, SplitSpec(0.7, 0.1, 0.2))
         assert (len(train), len(val), len(test)) == (7000, 1000, 2000)
+
+    @pytest.mark.parametrize("huge", [1e200, 1e308])  # the std overflows; at 1e308 the mean does too
+    def test_a_train_split_too_large_to_standardize_names_the_column(self, huge):
+        values = make_sinusoid_values(n_steps=100, n_variates=2, seed=3)
+        values[:10, 1] = huge
+        ds = data_io.Dataset("huge", tuple(range(100)), values, ("a", "b"))
+        with pytest.raises(IngestionError, match="^column 'b': the train split's mean or std is not finite"):
+            split_and_scale(ds, SplitSpec())
 
     def test_min_len_enforced(self, tmp_path):
         values = make_sinusoid_values(n_steps=100, n_variates=1, seed=3)
@@ -255,6 +271,10 @@ class TestWindows:
         with pytest.raises(ParameterError):
             window_values(np.ones((8, 1)), np.zeros(1, int), np.zeros(1, int), 4, 0)
 
+    def test_rejects_a_split_that_is_not_two_dimensional(self):
+        with pytest.raises(ParameterError, match="must be \\(V, K\\)"):
+            stride_windows(np.ones(8), 4, 2)
+
     def test_rejects_empty_context(self):
         with pytest.raises(ParameterError):
             stride_windows(np.ones((8, 1)), 0, 4)
@@ -306,7 +326,7 @@ def wide_tables(draw):
 
 def _row_oracle(rows, columns):
     """Row by row, each in full before the next: the (type, message) of the
-    first defective row's error, or the kept values, timestamps and
+    first defective row's error, or the kept values, timestamp keys and
     dropped-row count."""
     kept, timestamps, previous = [], [], None
     for i, cells in enumerate(rows, start=2):
@@ -331,7 +351,7 @@ def _row_oracle(rows, columns):
             return (IngestionError, f"row {i}: timestamp {cells[0]!r} {says}"), None
         previous = key
         kept.append(parsed)
-        timestamps.append(cells[0].strip())
+        timestamps.append(key)
     return None, (kept, timestamps, len(rows) - len(kept))
 
 

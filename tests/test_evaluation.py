@@ -7,7 +7,7 @@ from conftest import make_sinusoid_values
 from elastst.backbone import AttentionConfig
 from elastst import evaluation
 from elastst.data_io import Scaler, stride_windows, window_values
-from elastst.errors import DimensionError, MetricUndefinedError, SizingError
+from elastst.errors import DimensionError, MetricUndefinedError, ParameterError, SizingError
 from elastst.evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
 from elastst.model import ElasTSTConfig, ModelState, forward_batch
 from elastst.trope import PeriodSpec
@@ -153,6 +153,13 @@ class TestLongestHorizonReuse:
         assert sorted(key for _, key in forwarded) == sorted(longest)  # each window exactly once
         assert all(longest[key] == horizon for horizon, key in forwarded)
         assert sorted(h for h, _ in calls) == sorted(set(longest.values()))  # one call per longest horizon
+
+    @pytest.mark.parametrize("lookback", [8, 32])
+    def test_a_lookback_other_than_the_models_fails_before_any_forward(self, monkeypatch, lookback):
+        calls = self.recording_forward(monkeypatch)
+        with pytest.raises(ParameterError, match=f"lookback {lookback} differs from the model's lookback 16"):
+            varied_horizon_eval(small_state(), self.split, lookback, [8], self.scaler)
+        assert calls == []
 
     def test_too_long_horizon_fails_before_any_forward(self, monkeypatch):
         calls = self.recording_forward(monkeypatch)

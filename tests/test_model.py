@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from elastst import model
 from elastst.backbone import AttentionConfig
-from elastst.errors import FormatError, ParameterError
+from elastst.errors import DimensionError, FormatError, ParameterError
 from elastst.model import (
     CHECKPOINT_MAGIC,
     ElasTSTConfig,
@@ -62,6 +62,10 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(sizes=(0, 4))
 
+    def test_lookback_validated(self):
+        with pytest.raises(ParameterError):
+            small_config(lookback=0)
+
     def test_patch_sizes_sorted_ascending(self):
         assert small_config(sizes=(8, 4)).patch_sizes == (4, 8)
 
@@ -113,6 +117,11 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward_batch(state, np.zeros((1, 16)), 0)
 
+    @pytest.mark.parametrize("shape", [(16,), (1, 0), (1, 1, 16)])
+    def test_contexts_must_be_a_batch_of_series(self, shape):
+        with pytest.raises(ParameterError):
+            forward_batch(ModelState.init(small_config(), seed=6), np.zeros(shape), 8)
+
     def test_memory_does_not_grow_with_the_horizon(self):
         """Placeholder rows stream through the stack in chunks, so the peak
         of a forward pass, less the arrays it returns, is the same at one
@@ -146,6 +155,14 @@ class TestCompositeLoss:
         )
         loss = composite_loss(fc, series, np.full(8, 1.0 / 8))
         assert loss.item() == 0.0
+
+    @pytest.mark.parametrize("target_shape, weights_shape", [((3, 8), (8,)), ((2, 8), (2, 7)), ((2, 8), (7,))])
+    def test_a_target_or_weights_of_another_shape_is_refused(self, target_shape, weights_shape):
+        series = np.zeros((2, 8))
+        fc = Forecast(per_size=[Tensor(series)], assembled=Tensor(series), offset=np.zeros(2), denom=np.ones(2),
+                      values=series)
+        with pytest.raises(DimensionError, match="does not match forecast"):
+            composite_loss(fc, np.zeros(target_shape), np.ones(weights_shape))
 
     def test_single_size_uniform_weights_equal_plain_mse(self):
         state = ModelState.init(small_config(sizes=(4,), instance_norm=False), seed=8)

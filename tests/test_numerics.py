@@ -166,6 +166,20 @@ class TestElementwiseOps:
             with pytest.raises(DimensionError):
                 op(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("error, call", [
+        (DimensionError, lambda: nm.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))),
+        (DimensionError, lambda: nm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))),
+        (DimensionError, lambda: nm.bias_add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))),
+        (DimensionError, lambda: nm.concat([])),
+        (DimensionError, lambda: nm.softmax_lastdim(Tensor(np.zeros((2, 0))))),
+        (DimensionError, lambda: nm.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(4)))),
+        (ContractError, lambda: Tensor(np.zeros(2)).item()),
+    ], ids=["matmul_1d", "matmul_batched_leading_axes", "bias_add", "concat_empty", "softmax_empty_axis",
+            "layer_norm_affine", "item_of_a_vector"])
+    def test_misshapen_operands_are_refused(self, error, call):
+        with pytest.raises(error):
+            call()
+
     def test_gradients_of_each_op(self):
         rng = np.random.default_rng(8)
         checks = []

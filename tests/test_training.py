@@ -69,12 +69,16 @@ class TestReweight:
         assert reweight(7, 10, "sampled", t_s=5) == 0.0
         with pytest.raises(ParameterError):
             reweight(3, 10, "sampled")
+        with pytest.raises(ParameterError):
+            reweight_vector(10, "sampled")  # no generator to draw from
 
     def test_out_of_range_tau(self):
         with pytest.raises(ParameterError):
             reweight(0, 10)
         with pytest.raises(ParameterError):
             reweight(11, 10)
+        with pytest.raises(ParameterError):
+            reweight(1, 0)
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):

@@ -82,6 +82,8 @@ class TestRotate:
             rotate(Tensor(np.zeros(8)), 0, periods)
         with pytest.raises(DimensionError):
             rotate(Tensor(np.zeros((3, 8))), np.arange(4), periods)
+        with pytest.raises(DimensionError):
+            TunablePeriods(Tensor(np.zeros((1, 4))))
 
     def test_gradients_through_input_and_periods(self):
         rng = np.random.default_rng(23)
