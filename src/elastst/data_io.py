@@ -131,12 +131,15 @@ def load_csv(path) -> Dataset:
 class Scaler:
     """Per-variate standardization fitted on the training split only."""
 
-    STD_FLOOR = 1e-8  # constant-series guard
+    # A column whose std is at most this share of |mean| is constant and is
+    # divided by 1: rounding in a constant column's mean leaves a std of
+    # order 1e-16·|mean|, and a zero std is caught whatever the mean.
+    CONSTANT_RTOL = 1e-12
 
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
         std = np.asarray(std, dtype=np.float64)
-        self.std = np.where(std < self.STD_FLOOR, 1.0, std)
+        self.std = np.where(std <= self.CONSTANT_RTOL * np.abs(self.mean), 1.0, std)
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "Scaler":

@@ -34,6 +34,8 @@ implementation and are worth knowing before touching anything here:
   freed once its node has used it. One ownership rule: a closure owns the
   gradient it is handed and every array it hands on, so gradients are
   adopted and worked in place without copies (see ``_accum``).
+* ``softmax_lastdim`` takes each row's max as a running maximum over the
+  few keys, one long element-wise pass per key, not ``np.max`` per row.
 * Every GELU MLP is one op, ``mlp``, with the bytes of its five-op
   composition. It takes GELU's derivative while recording, so its node
   keeps the input, that derivative and the GELU output; the pre-activation
@@ -387,12 +389,14 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    inverse = tuple(np.argsort(axes))
+    out = Tensor(x.data.transpose(axes))
+    inverse = [0] * len(axes)  # a permutation, since ndarray.transpose accepted it
+    for i, a in enumerate(axes):
+        inverse[a] = i
     xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
-        _accum(xn, np.transpose(g, inverse))
+        _accum(xn, g.transpose(inverse))
 
     return record_op(out, (x,), backward_fn)
 
@@ -501,11 +505,23 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
     Each row needs at least one finite entry (an all -inf row gives NaN);
     -inf entries then map to exactly 0.
+
+    The row max is a running ``np.maximum`` over the key columns: one long
+    element-wise pass per key, where ``np.max(axis=-1)`` pays a cost per
+    row. It is exact and carries NaN as ``np.max`` does; the sign of a zero
+    max can change only the sign of a zero difference, and exp(±0) is 1.
+    On a (32, 4, 16, n) array it takes 27 against 107 µs at n = 12, breaks
+    even near 72 keys and loses beyond (about 360 against 210 µs at 140).
+    The model has ⌈lookback/p⌉ keys, 12, 6 and 3 at the default lookback of
+    96, so long rows get no path of their own.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] < 1:
         raise DimensionError(f"softmax_lastdim needs a non-empty last axis, got {xd.shape}")
-    y = xd - np.max(xd, axis=-1, keepdims=True)
+    m = xd[..., 0].copy()
+    for j in range(1, xd.shape[-1]):
+        np.maximum(m, xd[..., j], out=m)
+    y = xd - m[..., None]
     np.exp(y, out=y)
     y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)

@@ -4,7 +4,9 @@ Each pair of embedding dimensions rotates by angle 2*pi*t / P_j at patch
 index t. The periods P_j are initialized on an exponential grid between a
 minimum and maximum period and are trained along with the rest of the
 model. They are stored as natural logs so that any real-valued gradient
-update keeps every period strictly positive.
+update keeps every period strictly positive. Rotation multiplies by
+interleaved (N, d) cos and sin tables, with the bytes of the per-pair
+formulas.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def init_periods(spec: PeriodSpec) -> TunablePeriods:
     return TunablePeriods(Tensor(logs, requires_grad=True))
 
 
+def _swap_pairs(a: np.ndarray) -> np.ndarray:
+    """``a`` with each (a_{2j-1}, a_{2j}) pair of its last axis swapped, laid out like ``a``."""
+    out = np.empty_like(a)
+    out[..., 0::2] = a[..., 1::2]
+    out[..., 1::2] = a[..., 0::2]
+    return out
+
+
 def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     """Rotate each (x_{2j-1}, x_{2j}) pair by 2*pi*t / P_j.
 
@@ -80,22 +90,29 @@ def rotate(x: Tensor, positions, periods: TunablePeriods) -> Tensor:
     ang = TWO_PI * (pos[:, None] / np.exp(logp.data))  # (N, half)
     c = np.cos(ang)
     s = np.sin(ang)
-    xp = xd.reshape(pair_shape)
-    yp = np.empty_like(xp)
-    yp[..., 0] = xp[..., 0] * c - xp[..., 1] * s
-    yp[..., 1] = xp[..., 0] * s + xp[..., 1] * c
-    out = Tensor(yp.reshape(xd.shape))
-    xn, ln, x_shape = x.node, logp.node, xd.shape
+    # interleaved (N, d) tables: y = x cc + swap(x) ss has the bytes of the
+    # pair formulas, since x1 (-s) is -(x1 s) and a + (-b) is a - b; only a
+    # NaN from non-finite input may come out with the other sign bit
+    cc = c.repeat(2, axis=1)
+    ss = s.repeat(2, axis=1)
+    np.negative(s, out=ss[:, 0::2])
+    y = np.multiply(xd, cc, out=np.empty_like(xd))  # laid out like x, as later reductions expect
+    t = _swap_pairs(xd)
+    t *= ss
+    y += t
+    out = Tensor(y)
+    xn, ln = x.node, logp.node
 
     def backward_fn(g: np.ndarray) -> None:
-        gp = g.reshape(pair_shape)
-        g0, g1 = gp[..., 0], gp[..., 1]
-        if xn.requires_grad:
-            dx = np.empty_like(gp)
-            dx[..., 0] = g0 * c + g1 * s
-            dx[..., 1] = -g0 * s + g1 * c
-            nm._accum(xn, dx.reshape(x_shape))
+        if xn.requires_grad:  # g cc - swap(g) ss
+            dx = np.multiply(g, cc, out=np.empty_like(g))
+            t = _swap_pairs(g)
+            t *= ss
+            dx -= t
+            nm._accum(xn, dx)
         if ln.requires_grad:
+            gp, yp = g.reshape(pair_shape), y.reshape(pair_shape)
+            g0, g1 = gp[..., 0], gp[..., 1]
             dphi = g1 * yp[..., 0] - g0 * yp[..., 1]
             nm._accum(ln, -(dphi * ang).reshape(-1, half).sum(axis=0))
 

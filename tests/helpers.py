@@ -8,7 +8,10 @@
 * ``expected_weight_oracle``, criterion 6's Monte Carlo estimate of the
   expected loss weight, independent of the harmonic computation;
 * ``timestamp_key_oracle``, a timestamp's key as ``int()`` and then
-  ``datetime.fromisoformat()`` read it, with no test before ``int()``.
+  ``datetime.fromisoformat()`` read it, with no test before ``int()``;
+* ``softmax_oracle``, ``rotate_oracle`` and ``inverse_axes_oracle``, the
+  earlier formulas of the softmax, rotary and transpose kernels, which the
+  kernels must match byte for byte.
 """
 
 import math
@@ -84,3 +87,43 @@ def timestamp_key_oracle(text: str):
         return datetime.fromisoformat(text)
     except ValueError:
         return None
+
+
+def softmax_oracle(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis with the row max from ``np.max``, and
+    the input gradient for the output gradient ``g``."""
+    y = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    gy = g * y
+    inner = np.sum(gy, axis=-1, keepdims=True)
+    dx = np.subtract(g, inner, out=gy)
+    dx *= y
+    return y, dx
+
+
+def rotate_oracle(x: np.ndarray, positions, log_periods: np.ndarray, g: np.ndarray):
+    """Rotation of (..., N, d) ``x`` by the per-pair formulas, and the
+    x-gradient and log-period gradient for the output gradient ``g``."""
+    half = log_periods.shape[0]
+    pair_shape = x.shape[:-1] + (half, 2)
+    ang = 2.0 * math.pi * (np.asarray(positions, dtype=np.float64)[:, None] / np.exp(log_periods))
+    c = np.cos(ang)
+    s = np.sin(ang)
+    xp = x.reshape(pair_shape)
+    yp = np.empty_like(xp)
+    yp[..., 0] = xp[..., 0] * c - xp[..., 1] * s
+    yp[..., 1] = xp[..., 0] * s + xp[..., 1] * c
+    gp = g.reshape(pair_shape)
+    g0, g1 = gp[..., 0], gp[..., 1]
+    dx = np.empty_like(gp)
+    dx[..., 0] = g0 * c + g1 * s
+    dx[..., 1] = -g0 * s + g1 * c
+    dphi = g1 * yp[..., 0] - g0 * yp[..., 1]
+    dlogp = -(dphi * ang).reshape(-1, half).sum(axis=0)
+    return yp.reshape(x.shape), dx.reshape(x.shape), dlogp
+
+
+def inverse_axes_oracle(axes) -> tuple[int, ...]:
+    """The permutation that undoes ``axes``."""
+    return tuple(np.argsort(axes))

@@ -152,6 +152,17 @@ class TestScalerAndSplit:
         scaler = Scaler.fit(values)
         out = scaler.transform(values)
         assert np.array_equal(out[:, 0], np.zeros(50))
+        # rounding in the mean leaves this column a std of about 7.6e-6
+        c = math.pi * 1e10
+        big = np.full((7000, 1), c)
+        assert np.all(np.abs(Scaler.fit(big).transform(big)) <= 1e-12 * c)
+
+    def test_a_tiny_scale_standardizes_like_unit_scale(self):
+        t = np.arange(200.0)
+        unit = np.column_stack([np.sin(2 * np.pi * t / 24), 3.0 + np.cos(2 * np.pi * t / 7)])
+        tiny = unit * 1e-9
+        got, want = Scaler.fit(tiny).transform(tiny), Scaler.fit(unit).transform(unit)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_round_trip_inverse(self):
         rng = np.random.default_rng(31)
