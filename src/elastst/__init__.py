@@ -38,7 +38,6 @@ from .training import (
     TrainConfig,
     TrainData,
     adam_step,
-    reweight,
     reweight_vector,
     train,
 )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, evaluation, gradcheck, training
-from .backbone import AttentionConfig
 from .errors import (
     ConfigError,
     ContractError,
@@ -29,8 +28,7 @@ from .errors import (
     ParameterError,
     SizingError,
 )
-from .model import ElasTSTConfig, ModelState, forward_batch, load_model
-from .trope import PeriodSpec
+from .model import ElasTSTConfig, ModelState, forward_batch, int_list, load_model
 
 
 def _parse_bool(text: str) -> bool:
@@ -42,10 +40,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
@@ -54,7 +48,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 CONFIG_KEYS = {
     "data.path": (str, None),
     "data.split": (_parse_float_list, astuple(data_io.SplitSpec())),
-    "model.patch_sizes": (_parse_int_list, (8, 16, 32)),
+    "model.patch_sizes": (int_list, (8, 16, 32)),
     "model.d_model": (int, 64),
     "model.n_heads": (int, 4),
     "model.head_dim": (int, 16),
@@ -132,23 +126,7 @@ def _require(config: dict, key: str):
 
 
 def model_config(config: dict) -> ElasTSTConfig:
-    return ElasTSTConfig(
-        patch_sizes=config["model.patch_sizes"],
-        period_spec=PeriodSpec(
-            p_min=config["trope.p_min"],
-            p_max=config["trope.p_max"],
-            head_dim=config["model.head_dim"],
-        ),
-        attention=AttentionConfig(
-            d_model=config["model.d_model"],
-            n_heads=config["model.n_heads"],
-            head_dim=config["model.head_dim"],
-            d_ff=config["model.d_ff"],
-            n_layers=config["model.n_layers"],
-        ),
-        lookback=config["model.lookback"],
-        instance_norm=config["model.instance_norm"],
-    )
+    return ElasTSTConfig.from_settings(lambda name: config[("trope." if name in ("p_min", "p_max") else "model.") + name])
 
 
 def train_config(config: dict) -> training.TrainConfig:
@@ -215,9 +193,10 @@ def _resolve(text: str, names: tuple, what: str, key=str) -> int:
 def cmd_train(args) -> int:
     config = build_config(args.config, args.set)
     _, train_v, val_v, _, scaler = _load_splits(config)
-    state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=config["train.seed"])
+    train_cfg = train_config(config)
+    state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=train_cfg.seed)
     data = training.TrainData(train_values=train_v, val_values=val_v, scaler=scaler)
-    best = _fitting("training at these train.* sizes", training.train, state, data, train_config(config))
+    best = _fitting("training at these train.* sizes", training.train, state, data, train_cfg)
     print(f"best validation NMAE: {best.best_val_nmae!r} (epoch {best.epoch})")
     print(f"checkpoint: {config['out.checkpoint']}")
     print(f"training log: {config['out.log']}")
@@ -227,7 +206,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = build_config(args.config, args.set)
     try:
-        horizons = list(_parse_int_list(args.horizons))
+        horizons = list(int_list(args.horizons))
     except ValueError:
         raise ConfigError(f"--horizons must be comma-separated integers, got {args.horizons!r}") from None
     if any(h < 1 for h in horizons):
@@ -272,7 +251,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = build_config(args.config, args.set)
-    report = gradcheck.tiny_report(seed=config["train.seed"])
+    report = gradcheck.tiny_report(seed=training.TrainConfig(seed=config["train.seed"]).seed)
     worst = 0.0
     for name, err in report.items():
         print(f"{name:<28} {err:.3e}")

@@ -135,6 +135,9 @@ class Scaler:
     # divided by 1: rounding in a constant column's mean leaves a std of
     # order 1e-16·|mean|, and a zero std is caught whatever the mean.
     CONSTANT_RTOL = 1e-12
+    # Below this max |x| a column's squared deviations go subnormal and lose
+    # digits in ``np.std``; such a column is fitted scaled by a power of two.
+    TINY = 2.0**-500
 
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
@@ -143,7 +146,15 @@ class Scaler:
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "Scaler":
-        return cls(values.mean(axis=0), values.std(axis=0))
+        mean, std = values.mean(axis=0), values.std(axis=0)
+        amax = np.max(np.abs(values), axis=0, initial=0.0)
+        tiny = np.flatnonzero((0.0 < amax) & (amax < cls.TINY))
+        if tiny.size:  # both scalings are exact: x·2^-e and the results' ·2^e
+            exp = np.frexp(amax[tiny])[1]
+            scaled = np.ldexp(values[:, tiny], -exp)
+            mean[tiny] = np.ldexp(scaled.mean(axis=0), exp)
+            std[tiny] = np.ldexp(scaled.std(axis=0), exp)
+        return cls(mean, std)
 
     # ``k`` picks the variates by index: all of them, one (an int) or an array that broadcasts
     def transform(self, values: np.ndarray, k=slice(None)) -> np.ndarray:

@@ -73,6 +73,14 @@ class ElasTSTConfig:
                 f"attention.head_dim {self.attention.head_dim}"
             )
 
+    @classmethod
+    def from_settings(cls, get) -> "ElasTSTConfig":
+        """The config of the ten settings named as in the checkpoint echo, ``get(name)``
+        giving each parsed value. The periods come first: a bad ``head_dim`` gets their message."""
+        period_spec = PeriodSpec(get("p_min"), get("p_max"), get("head_dim"))
+        attention = AttentionConfig(*(get(key) for key in ("d_model", "n_heads", "head_dim", "d_ff", "n_layers")))
+        return cls(get("patch_sizes"), period_spec, attention, get("lookback"), get("instance_norm"))
+
 
 class SizeCoder:
     """Encoder (patch -> D) and decoder (D -> patch) MLPs for one patch size."""
@@ -314,26 +322,24 @@ def _norm_eps(text: str) -> float:
     return value
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, as patch sizes are written."""
+    return tuple(int(p) for p in text.split(","))
+
+
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
 
 
-def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
-    def field(key, parse=int):
-        return lookup(path, echo, key, parse)
+_ECHO_PARSERS = {"patch_sizes": int_list, "instance_norm": _flag, "p_min": float, "p_max": float}  # else int
 
-    field("instance_norm_eps", _norm_eps)  # a constant, echoed for readers of the file
+
+def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
+    lookup(path, echo, "instance_norm_eps", _norm_eps)  # a constant, echoed for readers of the file
     try:
-        attention = AttentionConfig(*(field(key) for key in ("d_model", "n_heads", "head_dim", "d_ff", "n_layers")))
-        return ElasTSTConfig(
-            patch_sizes=field("patch_sizes", lambda text: tuple(int(p) for p in text.split(","))),
-            period_spec=PeriodSpec(field("p_min", float), field("p_max", float), attention.head_dim),
-            attention=attention,
-            lookback=field("lookback"),
-            instance_norm=field("instance_norm", _flag),
-        )
+        return ElasTSTConfig.from_settings(lambda key: lookup(path, echo, key, _ECHO_PARSERS.get(key, int)))
     except ParameterError as exc:
         raise FormatError(f"{path}: checkpoint config echo is invalid: {exc}") from None
 

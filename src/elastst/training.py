@@ -1,8 +1,8 @@
 """Horizon-reweighted training with Adam and best-checkpoint retention.
 
 Training always runs the forward pass at the maximum horizon; shorter
-horizons are emulated through per-position loss weights. Four weighting
-modes are supported:
+horizons are emulated through per-position loss weights, built whole by
+``reweight_vector`` once per step, in one of four modes:
 
 * ``log-approx``   - w(tau) = (ln(t_max) - ln(tau)) / t_max
 * ``exact-harmonic`` - w(tau) = (sum_{T=tau}^{t_max} 1/T) / t_max, the exact
@@ -40,8 +40,6 @@ from .model import (
 )
 from .numerics import Graph, backward
 
-REWEIGHT_MODES = ("log-approx", "exact-harmonic", "fixed-uniform", "sampled")
-
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999
@@ -71,6 +69,8 @@ class TrainConfig:
             )
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.reweight_mode not in REWEIGHT_MODES:
             raise ParameterError(f"unknown reweight mode {self.reweight_mode!r}, options: {REWEIGHT_MODES}")
 
@@ -90,36 +90,30 @@ def _harmonic_suffix_weights(t_max: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def reweight(tau: int, t_max: int, mode: str = "log-approx", t_s: int | None = None) -> float:
-    """Loss weight for forecast position ``tau`` (1-based) under ``mode``.
+def _sampled(t_max: int, rng: np.random.Generator | None) -> np.ndarray:
+    if rng is None:
+        raise ParameterError("sampled mode needs a random generator")
+    t_s = int(rng.integers(1, t_max + 1))
+    return np.where(np.arange(t_max) < t_s, 1.0 / t_s, 0.0)
 
-    ``sampled`` needs the drawn horizon ``t_s`` for the current step.
-    """
-    if t_max < 1:
-        raise ParameterError(f"t_max must be >= 1, got {t_max}")
-    if not 1 <= tau <= t_max:
-        raise ParameterError(f"tau must be in [1, {t_max}], got {tau}")
-    if mode == "log-approx":
-        return (math.log(t_max) - math.log(tau)) / t_max
-    if mode == "exact-harmonic":
-        return _harmonic_suffix_weights(t_max)[tau - 1]
-    if mode == "fixed-uniform":
-        return 1.0 / t_max
-    if mode == "sampled":
-        if t_s is None or not 1 <= t_s <= t_max:
-            raise ParameterError(f"sampled mode needs a drawn horizon in [1, {t_max}], got {t_s}")
-        return 1.0 / t_s if tau <= t_s else 0.0
-    raise ParameterError(f"unknown reweight mode {mode!r}")
+
+# each mode's weights w(1..t_max), given the step's generator; ``log-approx``
+# takes math.log per position, whose bytes do not depend on numpy's SIMD dispatch
+_WEIGHTS = {
+    "log-approx": lambda t, rng: np.array([(math.log(t) - math.log(tau)) / t for tau in range(1, t + 1)]),
+    "exact-harmonic": lambda t, rng: np.array(_harmonic_suffix_weights(t)),
+    "fixed-uniform": lambda t, rng: np.full(t, 1.0 / t),
+    "sampled": _sampled,
+}
+REWEIGHT_MODES = tuple(_WEIGHTS)
 
 
 def reweight_vector(t_max: int, mode: str = "log-approx", rng: np.random.Generator | None = None) -> np.ndarray:
-    """All t_max position weights at once; ``sampled`` draws T_s from ``rng``."""
-    t_s = None
-    if mode == "sampled":
-        if rng is None:
-            raise ParameterError("sampled mode needs a random generator")
-        t_s = int(rng.integers(1, t_max + 1))
-    return np.array([reweight(tau, t_max, mode, t_s=t_s) for tau in range(1, t_max + 1)])
+    """The loss weights of positions 1..t_max under ``mode``; ``sampled``
+    draws one horizon T_s from ``rng`` and weights 1/T_s up to it."""
+    if t_max < 1 or mode not in _WEIGHTS:
+        raise ParameterError(f"need t_max >= 1 and a mode of {REWEIGHT_MODES}, got {t_max} and {mode!r}")
+    return _WEIGHTS[mode](t_max, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@
   ``datetime.fromisoformat()`` read it, with no test before ``int()``;
 * ``softmax_oracle``, ``rotate_oracle`` and ``inverse_axes_oracle``, the
   earlier formulas of the softmax, rotary and transpose kernels, which the
-  kernels must match byte for byte.
+  kernels must match byte for byte;
+* ``reweight_oracle``, the earlier per-position loss weight, which
+  ``training.reweight_vector`` must match byte for byte.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 
 from elastst.errors import DimensionError, ParameterError
 from elastst.numerics import Tensor, _accum, finite_diff_report, record_op
+from elastst.training import _harmonic_suffix_weights
 from elastst.trope import TunablePeriods, rotate
 
 
@@ -127,3 +130,17 @@ def rotate_oracle(x: np.ndarray, positions, log_periods: np.ndarray, g: np.ndarr
 def inverse_axes_oracle(axes) -> tuple[int, ...]:
     """The permutation that undoes ``axes``."""
     return tuple(np.argsort(axes))
+
+
+def reweight_oracle(tau: int, t_max: int, mode: str, t_s: int | None = None) -> float:
+    """Loss weight for forecast position ``tau`` (1-based) under ``mode``;
+    ``sampled`` needs the drawn horizon ``t_s`` of the step."""
+    if mode == "log-approx":
+        return (math.log(t_max) - math.log(tau)) / t_max
+    if mode == "exact-harmonic":
+        return _harmonic_suffix_weights(t_max)[tau - 1]
+    if mode == "fixed-uniform":
+        return 1.0 / t_max
+    if mode == "sampled":
+        return 1.0 / t_s if tau <= t_s else 0.0
+    raise ParameterError(f"unknown reweight mode {mode!r}")

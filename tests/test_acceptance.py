@@ -25,7 +25,7 @@ from elastst.model import (
 )
 from elastst.numerics import Tensor
 from elastst.patching import grid_dims, unpatch
-from elastst.training import TrainConfig, TrainData, reweight, train
+from elastst.training import TrainConfig, TrainData, reweight_vector, train
 from elastst.trope import PeriodSpec, init_periods
 from every_row import every_row_forward
 from helpers import expected_weight_oracle, relative_score
@@ -131,20 +131,22 @@ def test_criterion_05_end_to_end_gradients():
 def test_criterion_06_reweighting_fidelity():
     # (a) the Monte Carlo oracle agrees with the closed-form harmonic weights
     for t_max in (4, 32, 720):
+        harmonic = reweight_vector(t_max, "exact-harmonic")
         for tau in (1, t_max // 2, t_max):
             estimate, se = expected_weight_oracle(
                 tau, t_max, n_samples=1_000_000, seed=1000 + t_max + tau, return_se=True
             )
-            exact = reweight(tau, t_max, "exact-harmonic")
+            exact = harmonic[tau - 1]
             assert abs(estimate - exact) <= 3.0 * se, (t_max, tau, estimate, exact, se)
     # (b) the log approximation stays inside the integral bound everywhere
     for t_max in (4, 32, 720):
-        for tau in range(1, t_max + 1):
-            gap = abs(reweight(tau, t_max, "log-approx") - reweight(tau, t_max, "exact-harmonic"))
-            assert gap <= 1.0 / (tau * t_max)
+        gap = np.abs(reweight_vector(t_max, "log-approx") - reweight_vector(t_max, "exact-harmonic"))
+        taus = np.arange(1, t_max + 1)
+        assert np.all(gap <= 1.0 / (taus * t_max)), (t_max, taus[gap > 1.0 / (taus * t_max)])
     # (c) full-enumeration hand value
-    assert reweight(1, 4, "exact-harmonic") == float(Fraction(25, 48))
-    assert reweight(4, 4, "exact-harmonic") == float(Fraction(1, 16))
+    harmonic = reweight_vector(4, "exact-harmonic")
+    assert harmonic[0] == float(Fraction(25, 48))
+    assert harmonic[3] == float(Fraction(1, 16))
     print("ACCEPTANCE 6 PASS - Monte Carlo within 3 sigma, log-approx within 1/(tau*t_max), 25/48 exact")
 
 

@@ -94,6 +94,38 @@ class TestDefaults:
         assert config["model.instance_norm"] is ElasTSTConfig.instance_norm
 
 
+@st.composite
+def model_overrides(draw) -> list[str]:
+    """Valid ``--set`` overrides of every model and rotary setting, as a user might spell them."""
+    half_head_dim = draw(st.integers(2, 5))
+    p_min = draw(st.floats(1e-300, 1e300))
+    p_max = draw(st.floats(p_min, 1e300, exclude_min=True))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    return [
+        f"model.patch_sizes={','.join(map(str, sizes))}",
+        f"model.d_model={draw(st.integers(1, 12))}",
+        f"model.n_heads={draw(st.integers(1, 3))}",
+        f"model.head_dim={2 * half_head_dim}",
+        f"model.d_ff={draw(st.integers(1, 12))}",
+        f"model.n_layers={draw(st.integers(1, 3))}",
+        f"model.lookback={draw(st.integers(1, 64))}",
+        f"model.instance_norm={draw(st.sampled_from(['true', 'false', 'off', 'Yes', '0']))}",
+        f"trope.p_min={p_min!r}",
+        f"trope.p_max={p_max!r}",
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(overrides=model_overrides())
+def test_a_config_from_overrides_reads_back_from_its_checkpoint(overrides, tmp_path_factory):
+    """The CLI and the checkpoint reader build the config through one builder, so they agree."""
+    config = model_config(build_config(None, overrides))
+    path = tmp_path_factory.mktemp("roundtrip") / "model.ckpt"
+    write_checkpoint(path, ModelState.init(config, seed=0))
+    state, _, _ = load_model(path)
+    assert state.config == config
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "gradcheck"])
     def test_subcommand_help_documents_config_keys(self, command, capsys):
@@ -499,6 +531,32 @@ class TestBadInput:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert str(error) in line
         assert ("model.* sizes" in line) == (code == 2)
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_a_negative_seed_is_named_before_a_model_is_drawn(self, command, workspace, tmp_path, capsys, monkeypatch):
+        def init(cls, config, seed=0):
+            raise AssertionError("a model was drawn")
+
+        monkeypatch.setattr(ModelState, "init", classmethod(init))
+        _, config_path = workspace
+        assert main([command, "--config", str(config_path), "--set", "train.seed=-1"]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "configuration error: seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("head_dim", ["3", "1", "0", "-2"])
+    def test_a_head_dim_both_classes_refuse_gets_one_message_on_both_paths(
+        self, head_dim, workspace, tmp_path, capsys
+    ):
+        _, config_path = workspace
+        assert main(_train(config_path, tmp_path, f"model.head_dim={head_dim}")) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        says = f"head_dim must be even and >= 4, got {head_dim}"
+        assert line == f"configuration error: {says}"
+        checkpoint = Path(_checkpoint(config_path, tmp_path))
+        checkpoint.write_bytes(checkpoint.read_bytes().replace(b"\nhead_dim=8\n", f"\nhead_dim={head_dim}\n".encode()))
+        assert main(["inspect-periods", "--checkpoint", str(checkpoint)]) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"data error: {checkpoint}: checkpoint config echo is invalid: {says}"
 
     def test_unwritable_log_fails_before_training(self, workspace, tmp_path, capsys):
         _, config_path = workspace

@@ -164,6 +164,26 @@ class TestScalerAndSplit:
         got, want = Scaler.fit(tiny).transform(tiny), Scaler.fit(unit).transform(unit)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    def test_a_scale_below_1e_154_keeps_the_std(self, scale):
+        t = np.arange(200.0)
+        unit = np.column_stack([np.sin(2 * np.pi * t / 24), 3.0 + np.cos(2 * np.pi * t / 7)])
+        want = Scaler.fit(unit)
+        got = Scaler.fit(unit * scale)
+        np.testing.assert_allclose(got.std, want.std * scale, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.mean, want.mean * scale, rtol=1e-12, atol=0)
+
+    def test_only_a_tiny_column_is_fitted_scaled(self):
+        t = np.arange(200.0)
+        values = np.column_stack([np.sin(2 * np.pi * t / 24), 1e-160 * np.cos(2 * np.pi * t / 7), np.zeros(200)])
+        got = Scaler.fit(values)
+        mean, std = values.mean(axis=0), values.std(axis=0)
+        for k in (0, 2):  # the unit and the all-zero column keep numpy's bytes
+            assert got.mean[k].tobytes() == mean[k].tobytes()
+        assert got.std[0].tobytes() == std[0].tobytes()
+        assert got.std[2] == 1.0  # constant: only centred
+        assert got.std[1] != std[1]  # the tiny one's squared deviations went subnormal
+
     def test_round_trip_inverse(self):
         rng = np.random.default_rng(31)
         values = rng.normal(3.0, 10.0, (200, 4))

@@ -44,10 +44,23 @@ per-head column blocks, so the names and bytes hashed are the per-head
 ones and ``GRADIENTS`` did not change: every gradient element kept its
 bytes.
 
-The digests were taken with numpy 2.4 on OpenBLAS 0.3.31, one BLAS
-thread. Another BLAS, or another version of this one, may give other
-bytes for the same GEMM calls; on such a machine these digests do not
-hold, and a failure there says nothing about the code.
+The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31, one BLAS
+thread, on an AVX-512 CPU, where numpy dispatches to its X86_V4 paths
+and OpenBLAS picks its SkylakeX kernel. With the same numpy and OpenBLAS
+the CPU alone decides whether they hold. Emulated by setting
+``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` in the test process:
+
+* OpenBLAS's Haswell or Zen kernel (AVX2 with FMA): 2 of the 14 tests
+  fail, ``test_loss_and_every_gradient`` and ``test_cli_training_run``,
+  because GEMM reductions of 384 rows and more round differently;
+* its Sandybridge or Prescott kernel (no FMA): 12 fail, every forward
+  value among them;
+* numpy held to X86_V3 (``X86_V4 AVX512_ICL AVX512_SPR`` disabled), as on
+  an AVX2 CPU, with either kernel: 13 fail, since ``np.exp`` and
+  ``np.log`` give other bytes there.
+
+``test_invariance_property.py`` and ``test_kernel_oracles.py`` pass on
+all of them: a digest failure on such a machine says nothing about the code.
 """
 
 import hashlib

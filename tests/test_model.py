@@ -336,9 +336,6 @@ class TestCheckpoint:
             ("wrong size", "'size8.dec.b2' is invalid: cannot reshape array of size 16"),
             ("non-finite values", "'backbone.0.ffn.w1' is invalid: array must not contain infs or NaNs"),
             ("oversized echo", "describes a model of"),
-            ("invalid echo value", "'instance_norm' is invalid"),
-            ("missing instance_norm", "is missing 'instance_norm'"),
-            ("missing instance_norm_eps", "is missing 'instance_norm_eps'"),
             ("transposed block", "'size8.enc.w1' is invalid: block is stored as 16 x 8, expected 8 x 16"),
             ("vector as column", "'size4.dec.b2' is invalid: block is stored as 4 x 1, expected 1 x 4"),
             ("instance_norm_eps=nan", "'instance_norm_eps' is invalid: must be 1e-05, got nan"),
@@ -346,13 +343,12 @@ class TestCheckpoint:
             ("instance_norm_eps=-1.0", "'instance_norm_eps' is invalid: must be 1e-05, got -1.0"),
             ("instance_norm_eps=1e-06", "'instance_norm_eps' is invalid: must be 1e-05, got 1e-06"),
             ("n_heads=0", "checkpoint config echo is invalid: n_heads and n_layers must be >= 1"),
-            ("head_dim=5", "checkpoint config echo is invalid: head_dim must be even, got 5"),
+            ("head_dim=5", "checkpoint config echo is invalid: head_dim must be even and >= 4, got 5"),
             ("patch_sizes=8,8", "checkpoint config echo is invalid: patch sizes must be distinct, got (8, 8)"),
             ("p_min=2.0 p_max=1.0", "checkpoint config echo is invalid: need 0 < p_min < p_max < inf, got 2.0, 1.0"),
         ],
-        ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "invalid_echo_value",
-             "missing_instance_norm", "missing_instance_norm_eps", "transposed_block", "vector_as_column",
-             "nan_eps", "zero_eps", "negative_eps", "other_eps", "no_heads", "odd_head_dim",
+        ids=["missing_block", "wrong_size", "non_finite_values", "oversized_echo", "transposed_block",
+             "vector_as_column", "nan_eps", "zero_eps", "negative_eps", "other_eps", "no_heads", "odd_head_dim",
              "repeated_patch_size", "periods_reversed"],
     )
     def test_every_load_error_starts_with_the_path(self, tmp_path, case, says):
@@ -367,23 +363,42 @@ class TestCheckpoint:
             arrays["backbone.0.ffn.w1"][3, 4] = np.nan
         elif case == "oversized echo":
             echo["d_ff"] = "10000000"
-        elif case == "invalid echo value":
-            echo["instance_norm"] = "yes"
         elif case == "transposed block":  # as many values, in another layout
             arrays["size8.enc.w1"] = arrays["size8.enc.w1"].reshape(16, 8)
         elif case == "vector as column":
             arrays["size4.dec.b2"] = arrays["size4.dec.b2"].reshape(4, 1)
-        elif "=" in case:
+        else:
             for setting in case.split():
                 key, value = setting.split("=")
                 echo[key] = value
-        else:
-            del echo[case.split()[1]]
         rewrite(path, echo, arrays)
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
         assert says in str(err.value)
+
+    # each echo key with a value its parser rejects
+    UNPARSABLE = {
+        "patch_sizes": "4,x", "d_model": "16.0", "n_heads": "two", "head_dim": "", "d_ff": "1e3", "n_layers": "one",
+        "lookback": "16,16", "instance_norm": "yes", "instance_norm_eps": "tiny", "p_min": "1,0", "p_max": "max",
+    }
+
+    @pytest.mark.parametrize("defect", ["missing", "invalid"])
+    @pytest.mark.parametrize("key", list(UNPARSABLE))
+    def test_every_echo_key_missing_or_invalid_is_named(self, tmp_path, key, defect):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, ModelState.init(small_config(), seed=19))
+        echo, arrays = read_checkpoint(path)
+        assert list(echo) == list(self.UNPARSABLE)  # every key the writer echoes
+        if defect == "missing":
+            del echo[key]
+        else:
+            echo[key] = self.UNPARSABLE[key]
+        rewrite(path, echo, arrays)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        says = f"checkpoint is missing {key!r}" if defect == "missing" else f"checkpoint {key!r} is invalid: "
+        assert str(err.value).startswith(f"{path}: {says}")
 
     def test_load_builds_one_model(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

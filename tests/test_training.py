@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values
@@ -18,12 +18,11 @@ from elastst.training import (
     TrainData,
     adam_step,
     load_training_checkpoint,
-    reweight,
     reweight_vector,
     train,
 )
 from elastst.trope import PeriodSpec
-from helpers import expected_weight_oracle
+from helpers import expected_weight_oracle, reweight_oracle
 
 
 def harmonic_oracle(tau, t_max):
@@ -47,54 +46,56 @@ def saved_checkpoint(tmp_path, epoch=2, step_count=6, best_val_nmae=0.5):
     return path
 
 
+def weight(tau: int, t_max: int, mode: str) -> float:
+    """Position ``tau``'s (1-based) weight, read from the vector."""
+    return float(reweight_vector(t_max, mode)[tau - 1])
+
+
 class TestReweight:
     def test_log_approx_vanishes_at_the_end(self):
-        assert reweight(720, 720, "log-approx") == 0.0
-        assert reweight(16, 16, "log-approx") == 0.0
+        assert weight(720, 720, "log-approx") == 0.0
+        assert weight(16, 16, "log-approx") == 0.0
 
     def test_exact_harmonic_hand_values(self):
-        assert reweight(1, 4, "exact-harmonic") == float(Fraction(25, 48))
-        assert reweight(4, 4, "exact-harmonic") == float(Fraction(1, 16))
+        assert weight(1, 4, "exact-harmonic") == float(Fraction(25, 48))
+        assert weight(4, 4, "exact-harmonic") == float(Fraction(1, 16))
 
     def test_exact_harmonic_matches_full_enumeration(self):
         for t_max in (1, 4, 9, 32):
             for tau in range(1, t_max + 1):
-                assert reweight(tau, t_max, "exact-harmonic") == harmonic_oracle(tau, t_max)
+                assert weight(tau, t_max, "exact-harmonic") == harmonic_oracle(tau, t_max)
 
     def test_fixed_uniform(self):
-        assert reweight(3, 10, "fixed-uniform") == 0.1
+        assert weight(3, 10, "fixed-uniform") == 0.1
 
     def test_sampled_weights(self):
-        assert reweight(3, 10, "sampled", t_s=5) == 0.2
-        assert reweight(7, 10, "sampled", t_s=5) == 0.0
-        with pytest.raises(ParameterError):
-            reweight(3, 10, "sampled")
+        w = reweight_vector(10, "sampled", rng=FixedDraw(5))
+        assert w[3 - 1] == 0.2
+        assert w[7 - 1] == 0.0
         with pytest.raises(ParameterError):
             reweight_vector(10, "sampled")  # no generator to draw from
 
-    def test_out_of_range_tau(self):
-        with pytest.raises(ParameterError):
-            reweight(0, 10)
-        with pytest.raises(ParameterError):
-            reweight(11, 10)
-        with pytest.raises(ParameterError):
-            reweight(1, 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            reweight(1, 10, "bogus")
+    @pytest.mark.parametrize("t_max, mode", [(0, "fixed-uniform"), (-3, "log-approx"), (10, "bogus")])
+    def test_no_positions_or_an_unknown_mode_is_refused(self, t_max, mode):
+        with pytest.raises(ParameterError, match=f"got {t_max} and '{mode}'"):
+            reweight_vector(t_max, mode)
 
     def test_log_approx_tracks_harmonic_within_integral_bound(self):
         for t_max in (4, 32, 720):
-            for tau in range(1, t_max + 1):
-                gap = abs(
-                    reweight(tau, t_max, "log-approx") - reweight(tau, t_max, "exact-harmonic")
-                )
-                assert gap <= 1.0 / (tau * t_max)
+            gap = np.abs(reweight_vector(t_max, "log-approx") - reweight_vector(t_max, "exact-harmonic"))
+            taus = np.arange(1, t_max + 1)
+            assert np.all(gap <= 1.0 / (taus * t_max))
 
-    def test_vector_matches_scalar(self):
-        vec = reweight_vector(17, "exact-harmonic")
-        assert vec.tolist() == [reweight(t, 17, "exact-harmonic") for t in range(1, 18)]
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t_max=st.integers(1, 2880), mode=st.sampled_from(training.REWEIGHT_MODES), seed=st.integers(0, 2**32 - 1))
+    @example(t_max=1, mode="sampled", seed=0)
+    @example(t_max=2880, mode="log-approx", seed=0)
+    @example(t_max=2880, mode="exact-harmonic", seed=0)
+    def test_vector_has_the_bytes_of_the_per_position_formula(self, t_max, mode, seed):
+        vec = reweight_vector(t_max, mode, rng=np.random.default_rng(seed))
+        t_s = int(np.random.default_rng(seed).integers(1, t_max + 1)) if mode == "sampled" else None
+        expected = np.array([reweight_oracle(tau, t_max, mode, t_s) for tau in range(1, t_max + 1)])
+        assert vec.dtype == np.float64 and vec.tobytes() == expected.tobytes()
 
     def test_sampled_vector_is_reproducible(self):
         v1 = reweight_vector(50, "sampled", rng=np.random.default_rng(3))
@@ -105,6 +106,17 @@ class TestReweight:
         np.testing.assert_array_equal(v1, expected)
 
 
+class FixedDraw:
+    """A stand-in generator whose every horizon draw is ``t_s``."""
+
+    def __init__(self, t_s: int):
+        self.t_s = t_s
+
+    def integers(self, low, high):
+        assert low <= self.t_s < high
+        return self.t_s
+
+
 class TestOracle:
     def test_degenerate_single_horizon(self):
         assert expected_weight_oracle(1, 1, n_samples=100, seed=0) == 1.0
@@ -112,7 +124,7 @@ class TestOracle:
     def test_matches_exact_harmonic_within_three_sigma(self):
         for t_max, tau in ((4, 1), (4, 4), (32, 16)):
             estimate, se = expected_weight_oracle(tau, t_max, 200_000, seed=7, return_se=True)
-            assert abs(estimate - reweight(tau, t_max, "exact-harmonic")) <= 3 * se
+            assert abs(estimate - weight(tau, t_max, "exact-harmonic")) <= 3 * se
 
 
 class TestAdam:
