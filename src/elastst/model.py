@@ -20,11 +20,27 @@ on the context and its own position: any chunking gives the same bytes,
 and inference memory is bounded by one chunk plus the outputs.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
+
+``forward_batch`` can forecast one range of steps at a time against an
+encoded ``Context``; training walks its horizon so, in aligned step
+blocks (``step_blocks``). A block is the largest multiple of lcm(patch
+sizes) that is at most ``STEP_BLOCK`` steps, or that lcm when it is
+larger, so no patch spans two blocks. While recording, each size's
+context pass goes on a tape of its own. The call whose steps end the
+horizon copies each size's context tape onto the active tape just before
+that size's stream, so a backward from that block walks each size's
+context pass right after its stream, sizes in reverse order, as one
+whole-horizon tape does. A horizon that fits in one block therefore gives
+the whole tape's loss and gradients byte for byte; above one block the
+keys gather their gradients block by block, and the loss and gradients
+move by rounding only.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +50,7 @@ import numpy as np
 from . import numerics as nm
 from .backbone import MLP, AttentionConfig, LayerWeights, transformer_block
 from .errors import DimensionError, FormatError, ParameterError
-from .numerics import Tensor
+from .numerics import Graph, Tensor
 from .patching import grid_dims, segment_batch, unpatch
 from .trope import PeriodSpec, TunablePeriods, init_periods
 
@@ -43,6 +59,9 @@ CHECKPOINT_MAGIC = "ELASTST-CKPT v1"
 # rows per chunk of the placeholder stream: max(1, ROWS // B) positions of
 # B windows; any value gives the same bytes
 ROWS = 512
+
+# steps per training block, rounded down to a multiple of lcm(patch sizes)
+STEP_BLOCK = 256
 
 # added to each context's std before instance normalization divides by it
 INSTANCE_NORM_EPS = 1e-5
@@ -164,12 +183,25 @@ class ModelState:
 
 
 @dataclass
+class Context:
+    """A batch of contexts encoded once: the instance statistics and, per
+    patch size, the shared placeholder row, each layer's keys and values,
+    the context patch count and the tape that recorded the size's context
+    pass (None when nothing recorded it)."""
+
+    offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
+    denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
+    sizes: list[tuple[Tensor, list, int, Graph | None]]
+
+
+@dataclass
 class Forecast:
     """Per-size and assembled forecasts for one batch of windows.
 
     ``per_size`` and ``assembled`` are graph tensors of shape (B, T) on the
-    normalized scale (loss inputs). ``values`` carries the assembled
-    forecast mapped back to the model-input scale.
+    normalized scale (loss inputs), T the steps forecast. ``values`` carries
+    the assembled forecast mapped back to the model-input scale, and
+    ``context`` the encoded contexts, for another call on the same windows.
     """
 
     per_size: list[Tensor]
@@ -177,6 +209,46 @@ class Forecast:
     offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
     denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
     values: np.ndarray  # (B, T)
+    context: Context | None = None
+
+
+def step_blocks(horizon: int, patch_sizes) -> list[tuple[int, int]]:
+    """The aligned step blocks ``(lo, hi)`` that cover steps 0..horizon-1
+    (see the module docstring); the last one ends at ``horizon``."""
+    lcm = math.lcm(*patch_sizes)
+    size = max(lcm, STEP_BLOCK // lcm * lcm)
+    return [(lo, min(lo + size, horizon)) for lo in range(0, horizon, size)]
+
+
+def _encode(state: ModelState, contexts: np.ndarray) -> Context:
+    """Instance-normalize ``contexts`` and run each patch size's context
+    pass, on a tape of its own while a tape is active."""
+    cfg = state.config
+    b, length = contexts.shape
+    if cfg.instance_norm:
+        offset = contexts.mean(axis=1)
+        denom = contexts.std(axis=1) + INSTANCE_NORM_EPS
+    else:  # x - 0.0 and x / 1.0 are x, bit for bit
+        offset = np.zeros(b)
+        denom = np.ones(b)
+    normed = (contexts - offset[:, None]) / denom[:, None]
+
+    sizes = []
+    last = len(state.layers) - 1
+    for p in cfg.patch_sizes:
+        tape = Graph() if nm.recording() else None
+        with tape or nullcontext():
+            n_c = grid_dims(length, 0, p)[0]
+            coder = state.coders[p]
+            rows = coder.enc(Tensor(segment_batch(normed, p)))
+            ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
+            keys = []
+            for i, layer in enumerate(state.layers):
+                # the decoder reads no context row, so the last layer computes keys only
+                rows, layer_keys = transformer_block(rows, np.arange(n_c if i < last else 0), state.periods, layer)
+                keys.append(layer_keys)
+        sizes.append((ph, keys, n_c, tape))
+    return Context(offset, denom, sizes)
 
 
 def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: list, positions, b: int) -> Tensor:
@@ -193,50 +265,53 @@ def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: l
     return nm.concat(decoded, axis=1)
 
 
-def forward_batch(state: ModelState, contexts: np.ndarray, horizon: int) -> Forecast:
-    """Run the model over a batch of equal-length contexts."""
+def forward_batch(
+    state: ModelState,
+    contexts: np.ndarray,
+    horizon: int,
+    context: Context | None = None,
+    steps: tuple[int, int] | None = None,
+) -> Forecast:
+    """Forecast steps ``lo..hi-1`` of ``horizon`` (``steps``; all of them
+    by default) for a batch of equal-length contexts. ``lo`` must be a
+    multiple of every patch size. ``context``, an earlier forecast's
+    ``Forecast.context`` of the same contexts, spares encoding them again;
+    the module docstring says where its tapes are walked."""
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
         raise ParameterError(f"contexts must be (B, L) with L >= 1, got {contexts.shape}")
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     cfg = state.config
-    b, length = contexts.shape
-
-    if cfg.instance_norm:
-        offset = contexts.mean(axis=1)
-        denom = contexts.std(axis=1) + INSTANCE_NORM_EPS
-    else:  # x - 0.0 and x / 1.0 are x, bit for bit
-        offset = np.zeros(b)
-        denom = np.ones(b)
-    normed = (contexts - offset[:, None]) / denom[:, None]
+    lo, hi = (0, horizon) if steps is None else steps
+    if not 0 <= lo < hi <= horizon or any(lo % p for p in cfg.patch_sizes):
+        raise ParameterError(
+            f"steps must be lo..hi within 0..{horizon} with lo a multiple of every patch size, got {lo}..{hi}"
+        )
+    if context is None:
+        context = _encode(state, contexts)
 
     per_size: list[Tensor] = []
-    last = len(state.layers) - 1
-    for p in cfg.patch_sizes:
-        n_c, n_h = grid_dims(length, horizon, p)[:2]
-        coder = state.coders[p]
-        rows = coder.enc(Tensor(segment_batch(normed, p)))
-        ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
-        keys = []
-        for i, layer in enumerate(state.layers):
-            # the decoder reads no context row, so the last layer computes keys only
-            rows, layer_keys = transformer_block(rows, np.arange(n_c if i < last else 0), state.periods, layer)
-            keys.append(layer_keys)
-        decoded = _placeholder_stream(state, coder, ph, keys, np.arange(n_c, n_c + n_h), b)
-        per_size.append(unpatch(decoded, horizon))  # decoded: (B, n_h, p)
+    for p, (ph, keys, n_c, tape) in zip(cfg.patch_sizes, context.sizes):
+        if hi == horizon and tape is not None:
+            nm.record_tape(tape)
+        positions = np.arange(n_c + lo // p, n_c + grid_dims(0, hi, p)[1])
+        decoded = _placeholder_stream(state, state.coders[p], ph, keys, positions, contexts.shape[0])
+        per_size.append(unpatch(decoded, hi - lo))  # decoded: (B, n, p)
 
     acc = per_size[0]
     for series in per_size[1:]:
         acc = nm.add(acc, series)
     assembled = nm.scale(acc, 1.0 / len(per_size))
 
+    offset, denom = context.offset, context.denom
     return Forecast(
         per_size=per_size,
         assembled=assembled,
         offset=offset,
         denom=denom,
         values=assembled.data * denom[:, None] + offset[:, None],
+        context=context,
     )
 
 

@@ -14,6 +14,21 @@ horizons are emulated through per-position loss weights, built whole by
 Everything is seeded: window sampling uses a per-epoch generator derived
 from (seed, epoch), so resuming from a checkpoint replays the exact
 trajectory.
+
+A step (``step_gradients``) walks the horizon in the model's aligned step
+blocks (``model.step_blocks``: the largest multiple of lcm(patch sizes)
+that is at most ``model.STEP_BLOCK`` = 256 steps, or that lcm when it is
+larger), one tape per block, so its memory is one block's tape plus the
+context pass, whatever ``t_max``. Placeholders are never keys, so the
+loss is a sum over positions. The first block encodes the contexts, each
+size's context pass on a tape of its own. Each block records its forecast
+and its share of the composite loss, checks the running loss, runs
+backward into the weights and the context keys and drops its tape; the
+last block's backward also walks each size's context pass right after
+that size's stream, sizes in reverse order. A step that fits in one block
+is the whole-tape step byte for byte. Above one block the loss and the
+gradients are summed in another order and move by rounding only, so the
+logged ``train_loss`` can move in its last digit.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ from .model import (
     forward_batch,
     load_model,
     lookup,
+    step_blocks,
     write_checkpoint,
 )
 from .numerics import Graph, backward
@@ -192,6 +208,30 @@ def _snapshot(state: ModelState, m, v, step_count, epoch, best) -> Checkpoint:
     )
 
 
+def step_gradients(
+    state: ModelState, contexts: np.ndarray, targets: np.ndarray, weights: np.ndarray, where: str = "a step"
+) -> float:
+    """The composite loss of (B, L) ``contexts`` against (B, T) ``targets``
+    under (T,) ``weights``, which carry all normalization, walked in step
+    blocks (see the module docstring); its gradient is added into the
+    ``trainable()`` leaves' ``grad``. A running loss that is not finite
+    raises ``FloatingPointError``, naming ``where``, before its block's
+    backward."""
+    horizon = targets.shape[1]
+    context, loss = None, 0.0
+    for lo, hi in step_blocks(horizon, state.config.patch_sizes):
+        with Graph() as tape:
+            forecast = forward_batch(state, contexts, horizon, context, (lo, hi))
+            share = composite_loss(forecast, targets[:, lo:hi], weights[lo:hi])
+        loss += share.item()
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"training loss is {loss} at {where}")
+        backward(share)
+        tape.clear()
+        context = forecast.context
+    return loss
+
+
 def validation_nmae(state: ModelState, data: TrainData, config: TrainConfig) -> tuple[float, float]:
     """NMAE/NRMSE on the validation split at the training horizon, original scale,
     over non-overlapping windows."""
@@ -308,25 +348,14 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
 
             for _, t in leaves:
                 t.grad = None
-            graph = Graph()
-            with graph:
-                forecast = forward_batch(state, contexts, config.t_max)
-                loss = composite_loss(forecast, targets, w / config.batch_size)
             step_count += 1
-            step_loss = loss.item()
-            if not math.isfinite(step_loss):
-                raise FloatingPointError(
-                    f"training loss is {step_loss} at epoch {epoch}, step {step_count}"
-                )
-            backward(loss)
+            where = f"epoch {epoch}, step {step_count}"
+            step_loss = step_gradients(state, contexts, targets, w / config.batch_size, where)
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for _, t in leaves]
             for (name, _), g in zip(leaves, grads):
                 if not np.all(np.isfinite(g)):
-                    raise FloatingPointError(
-                        f"gradient of {name} is not finite at epoch {epoch}, step {step_count}"
-                    )
+                    raise FloatingPointError(f"gradient of {name} is not finite at {where}")
             adam_step(params, grads, m, v, config.learning_rate, step_count=step_count)
-            graph.clear()
             loss_sum += step_loss
 
         val_nmae, val_nrmse = validation_nmae(state, data, config)

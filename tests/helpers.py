@@ -22,7 +22,7 @@ from datetime import datetime
 import numpy as np
 
 from elastst.errors import DimensionError, ParameterError
-from elastst.numerics import Tensor, _accum, finite_diff_report, record_op
+from elastst.numerics import Graph, Tensor, _accum, backward, finite_diff_report, record_op
 from elastst.training import _harmonic_suffix_weights
 from elastst.trope import TunablePeriods, rotate
 
@@ -44,10 +44,19 @@ def mean(x: Tensor) -> Tensor:
 def finite_diff_check(f, params) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` evaluates the scalar loss from the current contents of ``params``.
+    ``f`` evaluates the scalar loss tensor from the current contents of
+    ``params``; the analytic side is one recorded ``f()`` and its backward.
     Relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
-    return max(finite_diff_report(f, [(str(i), p) for i, p in enumerate(params)]).values())
+
+    def step():
+        with Graph():
+            loss = f()
+        if loss.graph is not None:  # a loss independent of every parameter records nothing
+            backward(loss)
+
+    named = [(str(i), p) for i, p in enumerate(params)]
+    return max(finite_diff_report(lambda: float(f().data), named, step).values())
 
 
 def relative_score(q, k, m: float, n: float, periods: TunablePeriods) -> float:

@@ -44,19 +44,30 @@ per-head column blocks, so the names and bytes hashed are the per-head
 ones and ``GRADIENTS`` did not change: every gradient element kept its
 bytes.
 
+Training walks the horizon in step blocks of ``model.STEP_BLOCK`` steps
+(256 here), each on a tape of its own. Every digest pins the one-block
+step, which is the whole tape byte for byte: the H=96 loss and gradients
+and the CLI run at ``t_max`` 16 each fit in one block, and
+``test_the_one_block_training_step_gives_these_bytes`` takes ``LOSS`` and
+``GRADIENTS`` from the step training calls. A step over several blocks
+adds its gradients in another order and moves them by rounding only
+(``test_step_blocks.py``).
+
 The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31, one BLAS
 thread, on an AVX-512 CPU, where numpy dispatches to its X86_V4 paths
 and OpenBLAS picks its SkylakeX kernel. With the same numpy and OpenBLAS
 the CPU alone decides whether they hold. Emulated by setting
 ``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` in the test process:
 
-* OpenBLAS's Haswell or Zen kernel (AVX2 with FMA): 2 of the 14 tests
-  fail, ``test_loss_and_every_gradient`` and ``test_cli_training_run``,
-  because GEMM reductions of 384 rows and more round differently;
-* its Sandybridge or Prescott kernel (no FMA): 12 fail, every forward
+* OpenBLAS's Haswell or Zen kernel (AVX2 with FMA): 3 of the 15 tests
+  fail, ``test_loss_and_every_gradient``,
+  ``test_the_one_block_training_step_gives_these_bytes`` and
+  ``test_cli_training_run``, because GEMM reductions of 384 rows and more
+  round differently;
+* its Sandybridge or Prescott kernel (no FMA): 13 fail, every forward
   value among them;
 * numpy held to X86_V3 (``X86_V4 AVX512_ICL AVX512_SPR`` disabled), as on
-  an AVX2 CPU, with either kernel: 13 fail, since ``np.exp`` and
+  an AVX2 CPU, with either kernel: 14 fail, since ``np.exp`` and
   ``np.log`` give other bytes there.
 
 ``test_invariance_property.py`` and ``test_kernel_oracles.py`` pass on
@@ -75,7 +86,7 @@ from elastst.data_io import Scaler
 from elastst.evaluation import varied_horizon_eval
 from elastst.model import ElasTSTConfig, ModelState, composite_loss, forward_batch
 from elastst.numerics import Graph, backward
-from elastst.training import reweight_vector
+from elastst.training import reweight_vector, step_gradients
 from elastst.trope import PeriodSpec
 from every_row import every_row_forward
 
@@ -151,6 +162,21 @@ def forward_loss_and_gradients(state, contexts, forward=forward_batch):
 def test_loss_and_every_gradient(state, contexts):
     _, loss, grads = forward_loss_and_gradients(state, contexts)
     assert sha256(loss) == LOSS
+    assert sha256(*[chunk for name, g in grads.items() for chunk in (name.encode(), g)]) == GRADIENTS
+
+
+def test_the_one_block_training_step_gives_these_bytes(state, contexts):
+    """Training's step walks the horizon in step blocks; H=96 is one block,
+    whose loss and gradients are the whole tape's, ``LOSS`` and ``GRADIENTS``."""
+    targets = np.random.default_rng(np.random.SeedSequence(1)).standard_normal((32, 96))
+    leaves = state.trainable()
+    for _, p in leaves:
+        p.grad = None
+    loss = step_gradients(state, contexts, targets, reweight_vector(96) / 32)
+    grads = dict(state.blocks([(name, p.grad) for name, p in leaves]))
+    for _, p in leaves:
+        p.grad = None
+    assert sha256(np.float64(loss)) == LOSS
     assert sha256(*[chunk for name, g in grads.items() for chunk in (name.encode(), g)]) == GRADIENTS
 
 

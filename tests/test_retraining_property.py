@@ -3,19 +3,24 @@ of the same two training steps write equal checkpoint bytes and equal log
 bytes apart from ``wall_seconds``: in one process, where the second run,
 after the first one's gradient buffers were adopted and freed, stops after
 its first step and resumes from its checkpoint file; and in a fresh
-interpreter."""
+interpreter. A case's ``blocks``, when set, makes ``STEP_BLOCK`` that many
+times lcm(patch sizes), so most of its steps walk the horizon in several
+step blocks."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values
+from elastst import model
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
 from elastst.model import ElasTSTConfig, ModelState
@@ -38,6 +43,7 @@ def cases(draw):
         "reweight_mode": draw(st.sampled_from(REWEIGHT_MODES)),
         "instance_norm": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
+        "blocks": draw(st.sampled_from((None, 1, 2))),
     }
 
 
@@ -76,11 +82,14 @@ def two_steps(case: dict, out: Path, stop: bool = False) -> tuple[bytes, list[st
         log_path=str(log),
     )
     state = ModelState.init(config, seed=case["seed"])
-    if stop:
-        train(state, data, replace(train_config, epochs=1))
-        train(load_training_checkpoint(checkpoint), data, train_config)
-    else:
-        train(state, data, train_config)
+    with pytest.MonkeyPatch.context() as patch:
+        if case.get("blocks"):
+            patch.setattr(model, "STEP_BLOCK", case["blocks"] * math.lcm(*config.patch_sizes))
+        if stop:
+            train(state, data, replace(train_config, epochs=1))
+            train(load_training_checkpoint(checkpoint), data, train_config)
+        else:
+            train(state, data, train_config)
     return checkpoint.read_bytes(), [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]
 
 
@@ -88,6 +97,8 @@ def two_steps(case: dict, out: Path, stop: bool = False) -> tuple[bytes, list[st
 @given(cases())
 @example({"patch_sizes": [8, 1], "d_model": 5, "n_heads": 3, "n_layers": 2, "lookback": 11, "t_max": 24,
           "batch_size": 5, "reweight_mode": "sampled", "instance_norm": False, "seed": 7})
+@example({"patch_sizes": [2, 3], "d_model": 6, "n_heads": 2, "n_layers": 2, "lookback": 9, "t_max": 19,
+          "batch_size": 3, "reweight_mode": "log-approx", "instance_norm": True, "seed": 5, "blocks": 1})
 def test_two_runs_write_the_same_bytes(tmp_path_factory, case):
     straight, resumed = (two_steps(case, tmp_path_factory.mktemp("run"), stop) for stop in (False, True))
     assert len(straight[1]) == 3  # the header and one row per step
@@ -99,6 +110,17 @@ def test_a_fresh_interpreter_writes_the_same_bytes(tmp_path):
     allocator's free lists) reaches the bytes."""
     case = {"patch_sizes": [2, 4], "d_model": 8, "n_heads": 2, "n_layers": 2, "lookback": 12, "t_max": 16,
             "batch_size": 4, "reweight_mode": "sampled", "instance_norm": True, "seed": 11}
+    assert_fresh_interpreter_bytes(case, tmp_path)
+
+
+def test_a_fresh_interpreter_writes_the_same_bytes_over_blocks(tmp_path):
+    """The same, with each step's horizon of 22 in three blocks of 8."""
+    case = {"patch_sizes": [2, 8], "d_model": 8, "n_heads": 2, "n_layers": 2, "lookback": 12, "t_max": 22,
+            "batch_size": 4, "reweight_mode": "exact-harmonic", "instance_norm": True, "seed": 12, "blocks": 1}
+    assert_fresh_interpreter_bytes(case, tmp_path)
+
+
+def assert_fresh_interpreter_bytes(case: dict, tmp_path: Path) -> None:
     here = two_steps(case, tmp_path)
     fresh_dir = tmp_path / "fresh"
     fresh_dir.mkdir()

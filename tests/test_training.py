@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sinusoid_values
-from elastst import training
+from elastst import data_io, model, training
 from elastst.backbone import AttentionConfig
 from elastst.data_io import Scaler
 from elastst.errors import DimensionError, FormatError, ParameterError, SizingError
@@ -239,9 +239,9 @@ class TestTrain:
         widths = []
         real_forward = training.forward_batch
 
-        def spy(state, contexts, horizon):
+        def spy(state, contexts, *args):
             widths.append(contexts.shape[1])
-            return real_forward(state, contexts, horizon)
+            return real_forward(state, contexts, *args)
 
         monkeypatch.setattr(training, "forward_batch", spy)
         train(start, data, dataclasses.replace(cfg, epochs=2))
@@ -346,6 +346,44 @@ class TestTrain:
         with pytest.raises(FloatingPointError) as err:
             train(state, data, cfg)
         assert str(err.value) == f"gradient of backbone.0.{leaf} is not finite at epoch 2, step 6"
+        for (_, t), before in zip(state.trainable(), seen["params"]):
+            np.testing.assert_array_equal(t.data, before)
+        assert path.read_bytes() == seen["checkpoint"]
+
+    def test_a_block_whose_loss_overflows_stops_before_its_backward(self, tmp_path, monkeypatch):
+        """In blocks of 8 steps, the second block of step 6 alone has targets
+        whose squares overflow. Its loss share is checked before it runs
+        ``backward``: the step raises the loss message with the first
+        block's backward done and no RuntimeWarning besides the overflow
+        (an invalid value would fail the test), and every parameter and the
+        checkpoint file stay as they were before the step."""
+        path = tmp_path / "best.ckpt"
+        state, data, cfg = tiny_setup(epochs=2, checkpoint_path=path)
+        monkeypatch.setattr(model, "STEP_BLOCK", 8)
+        real_windows, real_backward = data_io.window_values, training.backward
+        seen = {"steps": 0, "backward": 0}
+
+        def windows(values, *args):
+            contexts, targets = real_windows(values, *args)
+            if values is data.train_values:
+                seen["steps"] += 1
+                if seen["steps"] == cfg.batches_per_epoch + 2:  # epoch 2, step 6
+                    seen["params"] = [t.data.copy() for _, t in state.trainable()]
+                    seen["checkpoint"] = path.read_bytes()
+                    seen["backward"] = 0
+                    targets[:, 8:] = 1e200
+            return contexts, targets
+
+        def counted(loss):
+            seen["backward"] += 1
+            real_backward(loss)
+
+        monkeypatch.setattr(data_io, "window_values", windows)
+        monkeypatch.setattr(training, "backward", counted)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as err:
+            train(state, data, cfg)
+        assert str(err.value) == "training loss is inf at epoch 2, step 6"
+        assert seen["backward"] == 1
         for (_, t), before in zip(state.trainable(), seen["params"]):
             np.testing.assert_array_equal(t.data, before)
         assert path.read_bytes() == seen["checkpoint"]
