@@ -22,18 +22,22 @@ Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 
 ``forward_batch`` can forecast one range of steps at a time against an
-encoded ``Context``; training walks its horizon so, in aligned step
-blocks (``step_blocks``). A block is the largest multiple of lcm(patch
-sizes) that is at most ``STEP_BLOCK`` steps, or that lcm when it is
-larger, so no patch spans two blocks. While recording, each size's
-context pass goes on a tape of its own. The call whose steps end the
-horizon copies each size's context tape onto the active tape just before
-that size's stream, so a backward from that block walks each size's
-context pass right after its stream, sizes in reverse order, as one
-whole-horizon tape does. A horizon that fits in one block therefore gives
-the whole tape's loss and gradients byte for byte; above one block the
-keys gather their gradients block by block, and the loss and gradients
-move by rounding only.
+encoded ``Context``; a training step (``training.step_gradients``) walks
+its horizon so, in aligned step blocks (``step_blocks``). A block is the
+largest multiple of lcm(patch sizes) that is at most ``STEP_BLOCK``
+steps, or that lcm when it is larger, so no patch spans two blocks.
+Placeholders are never keys, so the loss is a sum over positions: each
+block records its forecast and its share of the loss on one tape, runs
+backward from that share into the weights and the context keys, and
+drops the tape. While recording, each size's context pass goes on a tape
+of its own, and the call whose steps end the horizon copies it onto the
+active tape just before that size's stream, so the last block's backward
+walks each size's context pass right after its stream, sizes in reverse
+order, as one whole-horizon tape does. A horizon that fits in one block
+therefore gives the whole tape's loss and gradients byte for byte; above
+one block the keys gather their gradients block by block, the loss and
+gradients move by rounding only, and the logged ``train_loss`` can move
+in its last digit.
 """
 
 from __future__ import annotations
@@ -200,8 +204,9 @@ class Forecast:
 
     ``per_size`` and ``assembled`` are graph tensors of shape (B, T) on the
     normalized scale (loss inputs), T the steps forecast. ``values`` carries
-    the assembled forecast mapped back to the model-input scale, and
-    ``context`` the encoded contexts, for another call on the same windows.
+    the assembled forecast mapped back to the model-input scale. When the
+    steps end before the horizon, ``context`` carries the encoded contexts
+    for the call that forecasts the rest.
     """
 
     per_size: list[Tensor]
@@ -220,35 +225,34 @@ def step_blocks(horizon: int, patch_sizes) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, horizon)) for lo in range(0, horizon, size)]
 
 
-def _encode(state: ModelState, contexts: np.ndarray) -> Context:
-    """Instance-normalize ``contexts`` and run each patch size's context
-    pass, on a tape of its own while a tape is active."""
-    cfg = state.config
-    b, length = contexts.shape
+def _normalize(cfg: ElasTSTConfig, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance statistics ``offset`` and ``denom`` of each (B, L)
+    context and the contexts they normalize."""
     if cfg.instance_norm:
         offset = contexts.mean(axis=1)
         denom = contexts.std(axis=1) + INSTANCE_NORM_EPS
     else:  # x - 0.0 and x / 1.0 are x, bit for bit
-        offset = np.zeros(b)
-        denom = np.ones(b)
-    normed = (contexts - offset[:, None]) / denom[:, None]
+        offset = np.zeros(contexts.shape[0])
+        denom = np.ones(contexts.shape[0])
+    return offset, denom, (contexts - offset[:, None]) / denom[:, None]
 
-    sizes = []
-    last = len(state.layers) - 1
-    for p in cfg.patch_sizes:
-        tape = Graph() if nm.recording() else None
-        with tape or nullcontext():
-            n_c = grid_dims(length, 0, p)[0]
-            coder = state.coders[p]
-            rows = coder.enc(Tensor(segment_batch(normed, p)))
-            ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
-            keys = []
-            for i, layer in enumerate(state.layers):
-                # the decoder reads no context row, so the last layer computes keys only
-                rows, layer_keys = transformer_block(rows, np.arange(n_c if i < last else 0), state.periods, layer)
-                keys.append(layer_keys)
-        sizes.append((ph, keys, n_c, tape))
-    return Context(offset, denom, sizes)
+
+def _context_pass(state: ModelState, normed: np.ndarray, p: int) -> tuple[Tensor, list, int, Graph | None]:
+    """Patch size ``p``'s entry of ``Context.sizes`` for the normalized
+    contexts, recorded on a tape of its own while a tape is active."""
+    tape = Graph() if nm.recording() else None
+    with tape or nullcontext():
+        n_c = grid_dims(normed.shape[1], 0, p)[0]
+        coder = state.coders[p]
+        rows = coder.enc(Tensor(segment_batch(normed, p)))
+        ph = coder.enc(Tensor(np.zeros((1, 1, p))))  # every placeholder patch, encoded once
+        keys = []
+        last = len(state.layers) - 1
+        for i, layer in enumerate(state.layers):
+            # the decoder reads no context row, so the last layer computes keys only
+            rows, layer_keys = transformer_block(rows, np.arange(n_c if i < last else 0), state.periods, layer)
+            keys.append(layer_keys)
+    return ph, keys, n_c, tape
 
 
 def _placeholder_stream(state: ModelState, coder: SizeCoder, ph: Tensor, keys: list, positions, b: int) -> Tensor:
@@ -289,11 +293,17 @@ def forward_batch(
             f"steps must be lo..hi within 0..{horizon} with lo a multiple of every patch size, got {lo}..{hi}"
         )
     if context is None:
-        context = _encode(state, contexts)
+        offset, denom, normed = _normalize(cfg, contexts)
+        sizes = (_context_pass(state, normed, p) for p in cfg.patch_sizes)  # each just before its stream
+    else:
+        offset, denom, sizes = context.offset, context.denom, context.sizes
 
     per_size: list[Tensor] = []
-    for p, (ph, keys, n_c, tape) in zip(cfg.patch_sizes, context.sizes):
-        if hi == horizon and tape is not None:
+    kept = []
+    for p, (ph, keys, n_c, tape) in zip(cfg.patch_sizes, sizes):
+        if hi < horizon:  # a later call forecasts the rest of the horizon against these
+            kept.append((ph, keys, n_c, tape))
+        elif tape is not None:
             nm.record_tape(tape)
         positions = np.arange(n_c + lo // p, n_c + grid_dims(0, hi, p)[1])
         decoded = _placeholder_stream(state, state.coders[p], ph, keys, positions, contexts.shape[0])
@@ -304,14 +314,13 @@ def forward_batch(
         acc = nm.add(acc, series)
     assembled = nm.scale(acc, 1.0 / len(per_size))
 
-    offset, denom = context.offset, context.denom
     return Forecast(
         per_size=per_size,
         assembled=assembled,
         offset=offset,
         denom=denom,
         values=assembled.data * denom[:, None] + offset[:, None],
-        context=context,
+        context=Context(offset, denom, kept) if hi < horizon else None,
     )
 
 

@@ -35,8 +35,7 @@ implementation and are worth knowing before touching anything here:
   gradient it is handed and every array it hands on, so gradients are
   adopted and worked in place without copies (see ``_accum``).
 * ``softmax_lastdim`` takes each row's max as a running maximum over the
-  few keys, one long element-wise pass per key, not ``np.max`` per row,
-  and each row sum column by column in ``np.sum``'s own order.
+  few keys, one long element-wise pass per key, not ``np.max`` per row.
 * Every GELU MLP is one op, ``mlp``, with the bytes of its five-op
   composition. It takes GELU's derivative while recording, so its node
   keeps the input, that derivative and the GELU output; the pre-activation
@@ -516,47 +515,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return record_op(out, (x, w1, b1, w2, b2), backward_fn)
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x, axis=-1, keepdims=True)``, byte for byte, one element-wise
-    pass per column where numpy pays per row.
-
-    On a C-order array numpy starts each row from 0.0 and adds a row of
-    n < 8 in sequence; a row of 8 to 128 goes into eight lanes, a column
-    each, added as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
-    then the tail columns in sequence. A sum is the same whichever operand
-    comes first, but a NaN's sign bit is not: numpy's element-wise loops
-    pass on one operand's NaN or the other's depending on where an element
-    falls, so a NaN row is summed again by ``np.sum``. Longer rows, other
-    layouts and fewer than 32·n rows, where numpy's cost per row is still
-    below this cost per column, keep ``np.sum``. On a (32, 4, 16, n) array
-    this takes about 10, 17 and 28 µs at n = 3, 6 and 12, ``np.sum`` 36 to
-    49 µs; at 48 rows of 12 it would take 10 µs against 4.
-    """
-    n = x.shape[-1]
-    if n > 128 or not x.flags.c_contiguous or x.size < 32 * n * n:
-        return np.sum(x, axis=-1, keepdims=True)
-    cols = [x[..., j] for j in range(n)]
-    if n < 8:
-        total, stop = cols[0].copy(), 1
-    else:
-        stop = n - n % 8
-        lanes = cols[:8]
-        for i in range(8, stop, 8):
-            lanes = [lane + col for lane, col in zip(lanes, cols[i : i + 8])]
-        total = lanes[0] + lanes[1]
-        total += lanes[2] + lanes[3]
-        half = lanes[4] + lanes[5]
-        half += lanes[6] + lanes[7]
-        total += half
-    for col in cols[stop:]:
-        total += col
-    total += 0.0  # numpy's start value, added last: it only turns a -0.0 sum into 0.0
-    nan = np.isnan(total)
-    if nan.any():
-        total[nan] = np.sum(x[nan], axis=-1)
-    return total[..., None]
-
-
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis with max-subtraction.
 
@@ -570,8 +528,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     On a (32, 4, 16, n) array it takes 27 against 107 µs at n = 12, breaks
     even near 72 keys and loses beyond (about 360 against 210 µs at 140).
     The model has ⌈lookback/p⌉ keys, 12, 6 and 3 at the default lookback of
-    96, so long rows get no path of their own. The row sums, forward and
-    backward, go column by column too (``_row_sum``).
+    96, so long rows get no path of their own.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[-1] < 1:
@@ -581,13 +538,13 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         np.maximum(m, xd[..., j], out=m)
     y = xd - m[..., None]
     np.exp(y, out=y)
-    y /= _row_sum(y)
+    y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(y)
     xn = x.node
 
     def backward_fn(g: np.ndarray) -> None:
         gy = g * y
-        inner = _row_sum(gy)
+        inner = np.sum(gy, axis=-1, keepdims=True)
         dx = np.subtract(g, inner, out=gy)
         dx *= y
         _accum(xn, dx)

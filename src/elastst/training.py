@@ -15,20 +15,9 @@ Everything is seeded: window sampling uses a per-epoch generator derived
 from (seed, epoch), so resuming from a checkpoint replays the exact
 trajectory.
 
-A step (``step_gradients``) walks the horizon in the model's aligned step
-blocks (``model.step_blocks``: the largest multiple of lcm(patch sizes)
-that is at most ``model.STEP_BLOCK`` = 256 steps, or that lcm when it is
-larger), one tape per block, so its memory is one block's tape plus the
-context pass, whatever ``t_max``. Placeholders are never keys, so the
-loss is a sum over positions. The first block encodes the contexts, each
-size's context pass on a tape of its own. Each block records its forecast
-and its share of the composite loss, checks the running loss, runs
-backward into the weights and the context keys and drops its tape; the
-last block's backward also walks each size's context pass right after
-that size's stream, sizes in reverse order. A step that fits in one block
-is the whole-tape step byte for byte. Above one block the loss and the
-gradients are summed in another order and move by rounding only, so the
-logged ``train_loss`` can move in its last digit.
+A step (``step_gradients``) walks ``model.step_blocks`` of the horizon,
+one tape per block; the ``model`` module docstring states the block rule,
+the walk order and which bytes it keeps.
 """
 
 from __future__ import annotations
@@ -213,7 +202,7 @@ def step_gradients(
 ) -> float:
     """The composite loss of (B, L) ``contexts`` against (B, T) ``targets``
     under (T,) ``weights``, which carry all normalization, walked in step
-    blocks (see the module docstring); its gradient is added into the
+    blocks (see the ``model`` module docstring); its gradient is added into the
     ``trainable()`` leaves' ``grad``. A running loss that is not finite
     raises ``FloatingPointError``, naming ``where``, before its block's
     backward."""

@@ -2,8 +2,7 @@
 formulas (``helpers.softmax_oracle``, ``rotate_oracle``,
 ``inverse_axes_oracle``), forward and backward, on any layout: C order,
 transposed (the last two axes swapped in memory) and broadcast (one axis
-of stride 0). The softmax's column-wise row sum gives the bytes of
-``np.sum`` over the last axis.
+of stride 0).
 
 One exception: where rotary's input or gradient holds NaN or infinities,
 a NaN result may differ in its sign bit. The table form adds its two
@@ -106,49 +105,6 @@ def test_softmax_special_rows():
         want, _ = softmax_oracle(x, np.ones_like(x))
     assert same_bytes(y, want)
     assert np.isnan(y[:2]).all() and y[2].tolist() == [0.5, 0.5, 0.0] and y[3].tolist() == [1.0, 0.0, 0.0]
-
-
-ROW_SUM_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
-
-
-@st.composite
-def row_sum_cases(draw):
-    """Rows of 1 to 140 on both sides of the 32·n rows where the column sums
-    start, C order or transposed, with signed zeros, infinities and NaNs of
-    both signs at drawn places and in drawn whole columns."""
-    n = draw(st.integers(1, 140))
-    rows = draw(st.one_of(st.integers(1, 32 * n - 1), st.integers(32 * n, 40 * n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.uniform(-1e6, 1e6, (rows, n))
-    for i, value in draw(st.lists(st.tuples(st.integers(0, x.size - 1), st.sampled_from(ROW_SUM_SPECIALS)), max_size=8)):
-        x.reshape(-1)[i] = value
-    for j, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(ROW_SUM_SPECIALS)), max_size=3)):
-        x[:, j] = value
-    split = draw(st.sampled_from((1, 2, 4)))
-    if rows % split == 0:
-        x = x.reshape(split, rows // split, n)
-    if draw(st.booleans()):
-        x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return x
-
-
-@settings(max_examples=300, deadline=None)
-@given(row_sum_cases())
-def test_row_sum_has_the_bytes_of_np_sum(x):
-    with np.errstate(all="ignore"):
-        assert same_bytes(nm._row_sum(x), np.sum(x, axis=-1, keepdims=True))
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128])
-def test_row_sum_of_a_negative_zero_first_column(n):
-    """numpy starts each row from 0.0, so a row of -0.0 sums to 0.0."""
-    x = np.full((32 * n, n), -0.0)
-    x[1::4, 1:] = 0.0
-    x[2::4, 1:] = 1.0
-    x[3::4, 0] = 0.0
-    with np.errstate(all="ignore"):
-        assert same_bytes(nm._row_sum(x), np.sum(x, axis=-1, keepdims=True))
-    assert not np.signbit(nm._row_sum(x)).any()
 
 
 @st.composite
