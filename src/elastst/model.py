@@ -21,9 +21,9 @@ and inference memory is bounded by one chunk plus the outputs.
 Instance normalization (per-window context mean/std, inverted on output)
 is on by default; the loss is computed on the normalized scale.
 
-``forward_batch`` can forecast one range of steps at a time against an
-encoded ``Context``; a training step (``training.step_gradients``) walks
-its horizon so, in aligned step blocks (``step_blocks``). A block is the
+``forward_batch`` can forecast one range of steps at a time, each from the
+previous range's ``Forecast``; a training step (``training.step_gradients``)
+walks its horizon so, in aligned step blocks (``step_blocks``). A block is the
 largest multiple of lcm(patch sizes) that is at most ``STEP_BLOCK``
 steps, or that lcm when it is larger, so no patch spans two blocks.
 Placeholders are never keys, so the loss is a sum over positions: each
@@ -187,34 +187,23 @@ class ModelState:
 
 
 @dataclass
-class Context:
-    """A batch of contexts encoded once: the instance statistics and, per
-    patch size, the shared placeholder row, each layer's keys and values,
-    the context patch count and the tape that recorded the size's context
-    pass (None when nothing recorded it)."""
-
-    offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
-    denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
-    sizes: list[tuple[Tensor, list, int, Graph | None]]
-
-
-@dataclass
 class Forecast:
     """Per-size and assembled forecasts for one batch of windows.
 
     ``per_size`` and ``assembled`` are graph tensors of shape (B, T) on the
     normalized scale (loss inputs), T the steps forecast. ``values`` carries
     the assembled forecast mapped back to the model-input scale. When the
-    steps end before the horizon, ``context`` carries the encoded contexts
-    for the call that forecasts the rest.
-    """
+    steps end before the horizon, ``encoded`` holds each patch size's encoded
+    contexts for the call that forecasts the rest: the shared placeholder row,
+    each layer's keys and values, the context patch count and the tape of its
+    context pass (None when nothing recorded it)."""
 
     per_size: list[Tensor]
     assembled: Tensor
     offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
     denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
     values: np.ndarray  # (B, T)
-    context: Context | None = None
+    encoded: list[tuple[Tensor, list, int, Graph | None]] | None = None
 
 
 def step_blocks(horizon: int, patch_sizes) -> list[tuple[int, int]]:
@@ -238,7 +227,7 @@ def _normalize(cfg: ElasTSTConfig, contexts: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _context_pass(state: ModelState, normed: np.ndarray, p: int) -> tuple[Tensor, list, int, Graph | None]:
-    """Patch size ``p``'s entry of ``Context.sizes`` for the normalized
+    """Patch size ``p``'s entry of ``Forecast.encoded`` for the normalized
     contexts, recorded on a tape of its own while a tape is active."""
     tape = Graph() if nm.recording() else None
     with tape or nullcontext():
@@ -273,14 +262,14 @@ def forward_batch(
     state: ModelState,
     contexts: np.ndarray,
     horizon: int,
-    context: Context | None = None,
+    previous: Forecast | None = None,
     steps: tuple[int, int] | None = None,
 ) -> Forecast:
     """Forecast steps ``lo..hi-1`` of ``horizon`` (``steps``; all of them
     by default) for a batch of equal-length contexts. ``lo`` must be a
-    multiple of every patch size. ``context``, an earlier forecast's
-    ``Forecast.context`` of the same contexts, spares encoding them again;
-    the module docstring says where its tapes are walked."""
+    multiple of every patch size. ``previous``, an earlier forecast of the same
+    contexts that ended before the horizon, lends its instance statistics and
+    ``encoded`` contexts; the module docstring says where their tapes are walked."""
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
         raise ParameterError(f"contexts must be (B, L) with L >= 1, got {contexts.shape}")
@@ -292,11 +281,13 @@ def forward_batch(
         raise ParameterError(
             f"steps must be lo..hi within 0..{horizon} with lo a multiple of every patch size, got {lo}..{hi}"
         )
-    if context is None:
+    if previous is None:
         offset, denom, normed = _normalize(cfg, contexts)
         sizes = (_context_pass(state, normed, p) for p in cfg.patch_sizes)  # each just before its stream
+    elif previous.encoded is None:
+        raise ParameterError("previous forecast carries no encoded contexts: its steps ended at the horizon")
     else:
-        offset, denom, sizes = context.offset, context.denom, context.sizes
+        offset, denom, sizes = previous.offset, previous.denom, previous.encoded
 
     per_size: list[Tensor] = []
     kept = []
@@ -320,7 +311,7 @@ def forward_batch(
         offset=offset,
         denom=denom,
         values=assembled.data * denom[:, None] + offset[:, None],
-        context=Context(offset, denom, kept) if hi < horizon else None,
+        encoded=kept if hi < horizon else None,
     )
 
 
@@ -333,8 +324,6 @@ def composite_loss(forecast: Forecast, target: np.ndarray, weights: np.ndarray) 
     """
     shape = forecast.assembled.data.shape
     target = np.asarray(target, dtype=np.float64)
-    if target.ndim == 1:
-        target = target[None, :]
     if target.shape != shape:
         raise DimensionError(f"target shape {target.shape} does not match forecast {shape}")
     weights = np.asarray(weights, dtype=np.float64)
@@ -520,14 +509,21 @@ def _parameter_count(config: ElasTSTConfig) -> int:
 def load_model(path) -> tuple[ModelState, dict[str, str], dict[str, np.ndarray]]:
     """The model in a checkpoint, with its config echo and every block by name.
     The echo could name a model of any size, so its model must need no more
-    values than all the blocks hold before it is allocated."""
+    values than all the blocks hold before it is allocated. Every block must
+    be the model's or the Adam moment of one (``opt.m.`` or ``opt.v.`` before
+    its name), so an echo edited to drop a layer or a patch size is refused."""
     echo, arrays = read_checkpoint(path)
     config = _config_from_echo(path, echo)
     needed, held = _parameter_count(config), sum(arr.size for arr in arrays.values())
     if needed > held:
         raise FormatError(f"{path}: config echo describes a model of {needed} values, the blocks hold {held}")
     state = ModelState.init(config, seed=0)
-    fill_leaves(path, state, arrays, [(name, t.data) for name, t in state.trainable()])
+    leaves = [(name, t.data) for name, t in state.trainable()]
+    fill_leaves(path, state, arrays, leaves)
+    known = {prefix + name for name, _ in state.blocks(leaves) for prefix in ("", "opt.m.", "opt.v.")}
+    unread = [name for name in arrays if name not in known]
+    if unread:
+        raise FormatError(f"{path}: checkpoint block {unread[0]!r} is no block of the model its config echo describes")
     return state, echo, arrays
 
 

@@ -207,17 +207,16 @@ def step_gradients(
     raises ``FloatingPointError``, naming ``where``, before its block's
     backward."""
     horizon = targets.shape[1]
-    context, loss = None, 0.0
+    forecast, loss = None, 0.0
     for lo, hi in step_blocks(horizon, state.config.patch_sizes):
         with Graph() as tape:
-            forecast = forward_batch(state, contexts, horizon, context, (lo, hi))
+            forecast = forward_batch(state, contexts, horizon, forecast, (lo, hi))
             share = composite_loss(forecast, targets[:, lo:hi], weights[lo:hi])
         loss += share.item()
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss is {loss} at {where}")
         backward(share)
         tape.clear()
-        context = forecast.context
     return loss
 
 

@@ -381,6 +381,48 @@ def test_damaged_training_checkpoint_loads_or_names_the_file(trained, data):
     assert len(err.getvalue().strip().splitlines()) <= 1 and "Traceback" not in err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def two_layers(workspace, tmp_path_factory):
+    """The training checkpoint of one CLI run on the workspace at patch sizes 4,8 and two layers."""
+    _, config_path = workspace
+    root = tmp_path_factory.mktemp("two_layers")
+    with redirect_stdout(io.StringIO()):
+        assert main(_train(config_path, root, "model.n_layers=2")) == 0
+    return root / "model.ckpt"
+
+
+@pytest.mark.parametrize(
+    "old, new, unread",
+    [("n_layers=2", "n_layers=1", "backbone.1.head0.wq"), ("patch_sizes=4,8", "patch_sizes=4", "size8.enc.w1"),
+     ("patch_sizes=4,8", "patch_sizes=8", "size4.enc.w1")],
+    ids=["one_layer", "size_4_only", "size_8_only"],
+)
+def test_an_echo_that_leaves_blocks_unread_is_refused(workspace, two_layers, tmp_path, capsys, old, new, unread):
+    """An echo edited to drop a layer or a patch size describes a smaller model
+    that the file's blocks would fill and forecast from; the blocks it leaves
+    unread make it a data error that names the first of them."""
+    _, config_path = workspace
+    good = two_layers.read_bytes()
+    assert good.count(f"\n{old}\n".encode()) == 1
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(good.replace(f"\n{old}\n".encode(), f"\n{new}\n".encode()))
+    forecast = ["forecast", "--config", str(config_path), "--horizon", "3", "--checkpoint"]
+    assert main(forecast + [str(two_layers)]) == 0
+    capsys.readouterr()
+    assert main(forecast + [str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {path}: checkpoint block {unread!r} is no block of the model its config echo describes"
+    ]
+
+
+def test_a_training_checkpoint_loads_as_a_model_and_as_a_training_state(two_layers):
+    state, _, arrays = load_model(two_layers)
+    assert [name for name in arrays if name.startswith("opt.")]  # the moments pass as blocks of the model
+    resumed = training.load_training_checkpoint(two_layers)
+    for (name, a), (_, b) in zip(state.trainable(), resumed.state.trainable()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
 def _train(config_path, tmp_path, *settings):
     outputs = [f"out.checkpoint={tmp_path / 'model.ckpt'}", f"out.log={tmp_path / 'log.csv'}"]
     args = ["train", "--config", str(config_path)]
@@ -713,14 +755,27 @@ class TestResolve:
         assert forecast(lettered, "--variate", "-1") == forecast(lettered, "--variate", "c")
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 class TestReadme:
     def test_every_cli_example_parses(self):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        block = _readme().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         lines = [line for line in block.splitlines() if line.startswith("elastst ")]
         assert lines
         for line in lines:
             assert callable(build_parser().parse_args(shlex.split(line)[1:]).func), line
+
+    def test_the_configuration_table_gives_every_key_and_its_default(self):
+        """The table's keys are ``CONFIG_KEYS`` in order, and each default, read
+        by the key's own parser (``*(required)*`` as None), is the key's default."""
+        table = _readme().split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|", 2)] for line in table.splitlines()]
+        assert [key for key, _, _ in rows] == list(cli.CONFIG_KEYS)
+        for key, default, _ in rows:
+            parse, expected = cli.CONFIG_KEYS[key]
+            assert (None if default == "*(required)*" else parse(default)) == expected, key
 
 
 _THREAD_PROBE = """

@@ -1,9 +1,13 @@
 """Property tests: the forecast at horizon H0 is, bit for bit, the first H0
 steps of the forecast at any longer horizon H, for random small models; the
 forecast equals, bit for bit, that of the every-row reference forward,
-however many placeholder rows each chunk of the stream holds; and a block
-fed one shared placeholder row gives, bit for bit, what it gives for that
-row repeated in every window and position."""
+however many placeholder rows each chunk of the stream holds; a horizon
+forecast range by range, each range continuing from the previous range's
+forecast, gives the one-call forecast bit for bit; and a block fed one
+shared placeholder row gives, bit for bit, what it gives for that row
+repeated in every window and position."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from elastst import model
 from elastst.backbone import AttentionConfig, LayerWeights, transformer_block
+from elastst.errors import ParameterError
 from elastst.model import ElasTSTConfig, ModelState, composite_loss, forward_batch
 from elastst.numerics import Graph, Tensor
 from elastst.trope import PeriodSpec, init_periods
@@ -148,6 +153,38 @@ def test_any_chunk_size_gives_the_same_bytes(case):
             values, loss = values_and_loss(*args)
             assert np.array_equal(values, one_chunk), rows
             assert loss == one_chunk_loss, rows
+
+
+@st.composite
+def continued_cases(draw):
+    """An ``oracle_cases`` model and a horizon split into ranges that start at
+    multiples of lcm(patch sizes), the first at 0 and the last ending at H."""
+    case = draw(oracle_cases())
+    lcm = math.lcm(*case["sizes"])
+    blocks = draw(st.integers(0, 4))  # whole multiples of lcm before the last, partial one
+    horizon = blocks * lcm + draw(st.integers(1, lcm))
+    starts = [0] + [c * lcm for c in range(1, blocks + 1) if draw(st.booleans())]
+    return dict(case, horizon=horizon, ranges=list(zip(starts, starts[1:] + [horizon])))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(continued_cases())
+@example(dict(ORACLE, sizes=(2, 3), lookback=9, batch=2, horizon=25, n_layers=2, ranges=[(0, 6), (6, 18), (18, 25)]))
+@example(dict(ORACLE, sizes=(8,), lookback=5, batch=1, horizon=8, n_layers=1, ranges=[(0, 8)]))
+def test_continuing_from_the_previous_forecast_gives_the_same_bytes(case):
+    """Without a tape, each range's call reuses the ``encoded`` contexts of
+    the call before it; every forecast but the last carries them."""
+    state, contexts = oracle_state(case)
+    horizon = case["horizon"]
+    forecast, parts = None, []
+    for lo, hi in case["ranges"]:
+        forecast = forward_batch(state, contexts, horizon, forecast, (lo, hi))
+        assert (forecast.encoded is None) == (hi == horizon)
+        parts.append(forecast.values)
+    joined, whole = np.concatenate(parts, axis=1), forward_batch(state, contexts, horizon).values
+    assert joined.shape == whole.shape and joined.tobytes() == whole.tobytes()
+    with pytest.raises(ParameterError, match="no encoded contexts"):
+        forward_batch(state, contexts, horizon, forecast)
 
 
 @st.composite

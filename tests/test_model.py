@@ -164,6 +164,13 @@ class TestCompositeLoss:
         with pytest.raises(DimensionError, match="does not match forecast"):
             composite_loss(fc, np.zeros(target_shape), np.ones(weights_shape))
 
+    def test_a_target_without_its_batch_axis_is_refused(self):
+        series = np.zeros((1, 8))
+        fc = Forecast(per_size=[Tensor(series)], assembled=Tensor(series), offset=np.zeros(1), denom=np.ones(1),
+                      values=series)
+        with pytest.raises(DimensionError, match=r"target shape \(8,\) does not match forecast \(1, 8\)"):
+            composite_loss(fc, np.zeros(8), np.ones(8))
+
     def test_single_size_uniform_weights_equal_plain_mse(self):
         state = ModelState.init(small_config(sizes=(4,), instance_norm=False), seed=8)
         rng = np.random.default_rng(7)
