@@ -83,7 +83,7 @@ def _config_help() -> str:
 def _read_config_file(path: str) -> list[tuple[str, str]]:
     pairs = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is no part of a key
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:

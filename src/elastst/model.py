@@ -203,6 +203,7 @@ class Forecast:
     offset: np.ndarray  # (B,) instance-norm mean (zeros when normalization is off)
     denom: np.ndarray  # (B,) instance-norm scale (ones when normalization is off)
     values: np.ndarray  # (B, T)
+    contexts: np.ndarray | None = None  # (B, L) the contexts forecast from, as given
     encoded: list[tuple[Tensor, list, int, Graph | None]] | None = None
 
 
@@ -268,8 +269,8 @@ def forward_batch(
     """Forecast steps ``lo..hi-1`` of ``horizon`` (``steps``; all of them
     by default) for a batch of equal-length contexts. ``lo`` must be a
     multiple of every patch size. ``previous``, an earlier forecast of the same
-    contexts that ended before the horizon, lends its instance statistics and
-    ``encoded`` contexts; the module docstring says where their tapes are walked."""
+    contexts (equal in shape and value) that ended before the horizon, lends its instance
+    statistics and ``encoded`` contexts; the module docstring says where their tapes are walked."""
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[1] < 1:
         raise ParameterError(f"contexts must be (B, L) with L >= 1, got {contexts.shape}")
@@ -286,6 +287,8 @@ def forward_batch(
         sizes = (_context_pass(state, normed, p) for p in cfg.patch_sizes)  # each just before its stream
     elif previous.encoded is None:
         raise ParameterError("previous forecast carries no encoded contexts: its steps ended at the horizon")
+    elif not np.array_equal(contexts, previous.contexts, equal_nan=True):
+        raise ParameterError("contexts differ from those the previous forecast was made from")
     else:
         offset, denom, sizes = previous.offset, previous.denom, previous.encoded
 
@@ -311,6 +314,7 @@ def forward_batch(
         offset=offset,
         denom=denom,
         values=assembled.data * denom[:, None] + offset[:, None],
+        contexts=contexts,
         encoded=kept if hi < horizon else None,
     )
 
@@ -319,8 +323,9 @@ def composite_loss(forecast: Forecast, target: np.ndarray, weights: np.ndarray) 
     """Mean of the per-size weighted losses and the assembled one.
 
     ``target`` is on the model-input scale and is normalized here with the
-    forecast's instance statistics; ``weights`` carry all normalization
-    (a 1-D weight vector is tiled across the batch unchanged).
+    forecast's instance statistics; ``weights`` carry all normalization (a
+    1-D weight vector is tiled across the batch unchanged). Both reach ``mse``
+    as plain arrays, so only the forecasts take gradients.
     """
     shape = forecast.assembled.data.shape
     target = np.asarray(target, dtype=np.float64)
@@ -333,12 +338,10 @@ def composite_loss(forecast: Forecast, target: np.ndarray, weights: np.ndarray) 
         raise DimensionError(f"weights shape {weights.shape} does not match forecast {shape}")
 
     normalized = (target - forecast.offset[:, None]) / forecast.denom[:, None]
-    target_t = Tensor(normalized)
-    weights_t = Tensor(weights)
-    acc = nm.mse(forecast.per_size[0], target_t, weights_t)
+    acc = nm.mse(forecast.per_size[0], normalized, weights)
     for series in forecast.per_size[1:]:
-        acc = nm.add(acc, nm.mse(series, target_t, weights_t))
-    acc = nm.add(acc, nm.mse(forecast.assembled, target_t, weights_t))
+        acc = nm.add(acc, nm.mse(series, normalized, weights))
+    acc = nm.add(acc, nm.mse(forecast.assembled, normalized, weights))
     return nm.scale(acc, 1.0 / (len(forecast.per_size) + 1))
 
 
@@ -417,6 +420,12 @@ def _config_from_echo(path, echo: dict[str, str]) -> ElasTSTConfig:
         raise FormatError(f"{path}: checkpoint config echo is invalid: {exc}") from None
 
 
+def temp_path(path) -> Path:
+    """``<name>.tmp`` next to ``path``, the file ``write_checkpoint`` writes through."""
+    path = Path(path)
+    return path.with_name(path.name + ".tmp")
+
+
 def write_checkpoint(
     path,
     state: ModelState,
@@ -432,8 +441,7 @@ def write_checkpoint(
     """
     echo = _config_echo(state.config)
     echo.update(extra_echo or {})
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = temp_path(path)
     try:
         with open(tmp, "wb") as f:
             f.write((CHECKPOINT_MAGIC + "\n").encode())

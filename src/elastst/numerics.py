@@ -594,28 +594,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return record_op(out, (x, gain, bias), backward_fn)
 
 
-def mse(pred: Tensor, target: Tensor, weights: Tensor) -> Tensor:
+def mse(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted squared error: sum of weights * (pred - target)^2.
 
-    No hidden normalization; the weights carry all of it.
+    ``target`` and ``weights`` are float64 arrays of ``pred``'s shape that
+    take no gradient: ``pred`` is the one input. The weights carry all normalization.
     """
-    _require_same_shape("mse", pred, target)
-    _require_same_shape("mse", pred, weights)
-    diff = pred.data - target.data
-    wd = weights.data
-    out = Tensor(np.sum(wd * diff * diff))
-    pn, tn, wn = pred.node, target.node, weights.node
+    if target.shape != pred.data.shape or weights.shape != pred.data.shape:
+        raise DimensionError(f"mse needs equal shapes, got {pred.data.shape}, {target.shape} and {weights.shape}")
+    diff = pred.data - target
+    out = Tensor(np.sum(weights * diff * diff))
+    pn = pred.node
 
     def backward_fn(g: np.ndarray) -> None:
-        gs = float(g)
-        if pn.requires_grad:
-            _accum(pn, gs * 2.0 * wd * diff)
-        if tn.requires_grad:
-            _accum(tn, gs * -2.0 * wd * diff)
-        if wn.requires_grad:
-            _accum(wn, gs * diff * diff)
+        _accum(pn, float(g) * 2.0 * weights * diff)
 
-    return record_op(out, (pred, target, weights), backward_fn)
+    return record_op(out, (pred,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

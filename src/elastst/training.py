@@ -41,6 +41,7 @@ from .model import (
     load_model,
     lookup,
     step_blocks,
+    temp_path,
     write_checkpoint,
 )
 from .numerics import Graph, backward
@@ -299,6 +300,7 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
     diverges to huge but finite losses runs every epoch and returns. Each
     epoch that improves validation NMAE at ``t_max`` is written to
     ``config.checkpoint_path``; if none does, the start is written at the end.
+    A checkpoint path that cannot be written raises ``OSError`` before any step.
     """
     if isinstance(start, ModelState):
         zeros = [np.zeros_like(t.data) for _, t in start.trainable()]
@@ -318,6 +320,10 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
     leaves = state.trainable()  # gradients accumulate here, and Adam updates these in place
     params = [t.data for _, t in leaves]
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best)
+    if config.checkpoint_path:  # the file a checkpoint is written through: an unwritable path fails early too
+        tmp = temp_path(config.checkpoint_path)
+        tmp.touch()
+        tmp.unlink()
     if config.log_path:  # opened before the first step, so an unwritable log fails early
         write_training_log(config.log_path, log)
 

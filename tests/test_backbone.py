@@ -195,15 +195,15 @@ class TestTransformerBlock:
         rng = np.random.default_rng(11)
         ctx = Tensor(rng.uniform(-1, 1, (2, 2, CFG.d_model)), requires_grad=True)
         ph = Tensor(rng.uniform(-1, 1, (1, 1, CFG.d_model) if shared_row else (2, 3, CFG.d_model)), requires_grad=True)
-        targets = Tensor(rng.uniform(-1, 1, (2, 5, CFG.d_model)))
-        ones = Tensor(np.ones((2, 5, CFG.d_model)))
+        targets = rng.uniform(-1, 1, (2, 5, CFG.d_model))
+        ones = np.ones((2, 3, CFG.d_model))
 
         def f():
             out_ctx, keys = transformer_block(ctx, np.arange(2 if context_rows else 0), periods, weights)
             out_ph, _ = transformer_block(ph, np.arange(2, 5), periods, weights, keys)
-            loss = nm.mse(out_ph, nm.slice_axis(targets, 1, 2, 5), nm.slice_axis(ones, 1, 2, 5))
+            loss = nm.mse(out_ph, targets[:, 2:], ones)
             if context_rows:
-                loss = nm.add(loss, nm.mse(out_ctx, nm.slice_axis(targets, 1, 0, 2), nm.slice_axis(ones, 1, 0, 2)))
+                loss = nm.add(loss, nm.mse(out_ctx, targets[:, :2], ones[:, :2]))
             return loss
 
         params = [ctx, ph, periods.log_periods, weights.wq, weights.wk, weights.wo,

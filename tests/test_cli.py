@@ -608,6 +608,39 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_unwritable_checkpoint_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(training, "forward_batch", no_forward)
+        _, config_path = workspace
+        checkpoint = tmp_path / "missing" / "m.ckpt"
+        assert main(_train(config_path, tmp_path, f"out.checkpoint={checkpoint}")) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("data error: ") and f"{checkpoint}.tmp" in line
+        assert not (tmp_path / "log.csv").exists()
+
+    def test_a_writable_checkpoint_path_is_left_without_a_temporary_file(self, workspace, tmp_path, monkeypatch):
+        def stop(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(training, "forward_batch", stop)
+        _, config_path = workspace
+        with pytest.raises(KeyboardInterrupt):
+            main(_train(config_path, tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(workspace, tmp_path):
+    _, config_path = workspace
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+    assert build_config(str(marked), []) == build_config(str(config_path), [])
+    checkpoint = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(marked), "--set", f"out.checkpoint={checkpoint}",
+                 "--set", f"out.log={tmp_path / 'log.csv'}", "--set", "train.batches_per_epoch=1"]) == 0
+    assert checkpoint.exists()
+
 
 def _output(capsys, argv) -> str:
     assert main(argv) == 0, capsys.readouterr().err

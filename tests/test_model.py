@@ -122,6 +122,30 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward_batch(ModelState.init(small_config(), seed=6), np.zeros(shape), 8)
 
+    @pytest.mark.parametrize("instance_norm", [True, False])
+    @pytest.mark.parametrize("others", [3, 2])
+    def test_a_continuation_from_other_contexts_is_refused(self, instance_norm, others, monkeypatch):
+        """With normalization off every batch has the same statistics, so
+        only the contexts themselves tell a continuation of other windows."""
+        state = ModelState.init(small_config(instance_norm=instance_norm), seed=6)
+        rng = np.random.default_rng(9)
+        first = forward_batch(state, rng.standard_normal((2, 16)), 16, None, (0, 8))
+        other = rng.standard_normal((others, 16))
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(model, "_placeholder_stream", no_stream)
+        with pytest.raises(ParameterError, match="contexts differ"):
+            forward_batch(state, other, 16, first, (8, 16))
+
+    def test_a_continuation_from_equal_contexts_in_another_array_is_taken(self):
+        state = ModelState.init(small_config(), seed=6)
+        ctx = np.random.default_rng(10).standard_normal((2, 16))
+        first = forward_batch(state, ctx, 16, None, (0, 8))
+        rest = forward_batch(state, ctx.copy(), 16, first, (8, 16))
+        assert rest.values.tobytes() == forward_batch(state, ctx, 16).values[:, 8:].tobytes()
+
     def test_memory_does_not_grow_with_the_horizon(self):
         """Placeholder rows stream through the stack in chunks, so the peak
         of a forward pass, less the arrays it returns, is the same at one

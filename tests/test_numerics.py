@@ -155,11 +155,25 @@ class TestLayerNorm:
 class TestElementwiseOps:
     def test_mse_examples(self):
         def loss(p, t, w):
-            return nm.mse(Tensor(p), Tensor(t), Tensor(w)).item()
+            return nm.mse(Tensor(p), np.array(t), np.array(w)).item()
 
         assert loss([1.0, 2.0], [1.0, 2.0], [1.0, 1.0]) == 0.0
         assert loss([0.0, 0.0], [1.0, 2.0], [1.0, 1.0]) == 5.0
         assert loss([0.0], [2.0], [0.5]) == 2.0
+
+    def test_mse_records_the_prediction_alone(self):
+        x = param([1.0, -2.0])
+        graph = Graph()
+        with graph:
+            loss = nm.mse(x, np.array([0.5, 1.0]), np.array([2.0, 0.25]))
+        assert len(graph._nodes) == 1
+        backward(loss)
+        assert x.grad.tolist() == [2.0, -1.5]  # 2 w (x - t)
+
+    @pytest.mark.parametrize("target, weights", [((3,), (2,)), ((2,), (3,)), ((1, 2), (2,))])
+    def test_mse_refuses_arrays_of_another_shape(self, target, weights):
+        with pytest.raises(DimensionError):
+            nm.mse(Tensor(np.zeros(2)), np.zeros(target), np.ones(weights))
 
     def test_equal_shape_contract(self):
         for op in (nm.add, nm.sub, nm.mul):
@@ -202,9 +216,9 @@ class TestElementwiseOps:
         row = param(rng.uniform(-2, 2, (1, 4)))
         checks.append((lambda: square_mean(nm.mul(nm.broadcast(row, (3, 4)), x)), [row, x]))
         checks.append((lambda: mean(nm.mul(x, x)), [x]))
-        w = param(rng.uniform(0.1, 1.0, (3, 4)))
-        t = param(rng.uniform(-2, 2, (3, 4)))
-        checks.append((lambda: nm.mse(x, t, w), [x, t, w]))
+        w = rng.uniform(0.1, 1.0, (3, 4))
+        t = rng.uniform(-2, 2, (3, 4))
+        checks.append((lambda: nm.mse(x, t, w), [x]))
         for f, params in checks:
             assert finite_diff_check(f, params) < 1e-5
 
@@ -248,7 +262,7 @@ class TestBroadcast:
         g = np.arange(24.0).reshape(2, 3, 4)[:, :2]
         with Graph():
             out = nm.broadcast(x, (2, 2, 4))
-            backward(nm.mse(out, Tensor(np.zeros(out.data.shape)), Tensor(g)))
+            backward(nm.mse(out, np.zeros(out.data.shape), g))
         assert np.array_equal(x.grad, (2.0 * g).sum(axis=(0, 2), keepdims=True))
 
 
@@ -267,7 +281,7 @@ class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = param([1.0, 2.0])
         with Graph():
-            loss = nm.mse(x, Tensor([0.0, 0.0]), Tensor([1.0, 1.0]))
+            loss = nm.mse(x, np.zeros(2), np.ones(2))
         backward(loss)
         first = x.grad.copy()
         backward(loss)
@@ -407,7 +421,7 @@ def squared(t, seed=1):
     """A weighted squared-error head on ``t``: a gradient that is neither
     all ones nor symmetric."""
     w = np.random.default_rng(seed).uniform(0.5, 1.5, t.data.shape)
-    return nm.mse(t, Tensor(np.zeros(t.data.shape)), Tensor(w))
+    return nm.mse(t, np.zeros(t.data.shape), w)
 
 
 def build_from_choices(choices):
@@ -572,9 +586,7 @@ class TestMlp:
 class TestFiniteDiff:
     def test_quadratic_is_nearly_exact(self):
         p = param([1.0, 2.0])
-        ones = Tensor(np.ones(2))
-        zeros = Tensor(np.zeros(2))
-        f = lambda: nm.mse(p, zeros, ones)  # sum of squares, gradient 2p
+        f = lambda: nm.mse(p, np.zeros(2), np.ones(2))  # sum of squares, gradient 2p
         assert finite_diff_check(f, [p]) < 1e-9
 
     def test_constant_function_reports_zero(self):

@@ -91,8 +91,8 @@ class TestRotate:
         x = Tensor(rng.uniform(-2, 2, (6, 8)), requires_grad=True)
         # the target breaks rotational symmetry so the loss actually
         # depends on the periods, not just on ||x||
-        target = Tensor(rng.uniform(-2, 2, (6, 8)))
-        ones = Tensor(np.ones((6, 8)))
+        target = rng.uniform(-2, 2, (6, 8))
+        ones = np.ones((6, 8))
 
         def f():
             out = rotate(x, np.arange(6), periods)
