@@ -17,30 +17,4 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .backbone import AttentionConfig, LayerWeights, attention, transformer_block
-from .data_io import Dataset, Scaler, SplitSpec, load_csv, split_and_scale
-from .data_io import sample_windows, stride_windows, window_values
-from .evaluation import MetricReport, MetricRow, nmae, nrmse, varied_horizon_eval
-from .model import (
-    ElasTSTConfig,
-    Forecast,
-    ModelState,
-    composite_loss,
-    forward_batch,
-    load_model,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .numerics import Graph, Tensor, backward
-from .patching import unpatch
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    TrainData,
-    adam_step,
-    reweight_vector,
-    train,
-)
-from .trope import PeriodSpec, TunablePeriods, init_periods, rotate
-
-__version__ = "0.1.0"
+from . import backbone, data_io, evaluation, model, numerics, patching, training, trope

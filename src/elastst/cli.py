@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     SizingError,
 )
-from .model import ElasTSTConfig, ModelState, forward_batch, int_list, load_model
+from .model import ElasTSTConfig, ModelState, forward_batch, int_list, load_model, temp_path
 
 
 def _parse_bool(text: str) -> bool:
@@ -190,8 +190,27 @@ def _resolve(text: str, names: tuple, what: str, key=str) -> int:
     return index % n
 
 
+def _check_outputs(config: dict) -> None:
+    """Refuse a ``train`` whose log or checkpoint, or the ``<name>.tmp`` the
+    checkpoint is written through, names the data file or each other,
+    compared by resolved path. An empty output key writes nothing."""
+    checkpoint = config["out.checkpoint"]
+    files = [("data.path", _require(config, "data.path")), ("out.log", config["out.log"])]
+    if checkpoint:
+        files += [("out.checkpoint", checkpoint), ("out.checkpoint's temporary file", str(temp_path(checkpoint)))]
+    seen = {}
+    for key, path in files:
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"{seen[resolved]} and {key} name the same file {path}")
+        seen[resolved] = key
+
+
 def cmd_train(args) -> int:
     config = build_config(args.config, args.set)
+    _check_outputs(config)
     _, train_v, val_v, _, scaler = _load_splits(config)
     train_cfg = train_config(config)
     state = _fitting("a model of these model.* sizes", ModelState.init, model_config(config), seed=train_cfg.seed)

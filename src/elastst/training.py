@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -300,7 +301,8 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
     diverges to huge but finite losses runs every epoch and returns. Each
     epoch that improves validation NMAE at ``t_max`` is written to
     ``config.checkpoint_path``; if none does, the start is written at the end.
-    A checkpoint path that cannot be written raises ``OSError`` before any step.
+    A checkpoint path that names a directory or cannot be written raises
+    ``OSError`` before any step.
     """
     if isinstance(start, ModelState):
         zeros = [np.zeros_like(t.data) for _, t in start.trainable()]
@@ -321,6 +323,8 @@ def train(start: ModelState | Checkpoint, data: TrainData, config: TrainConfig) 
     params = [t.data for _, t in leaves]
     best_ckpt = _snapshot(state, m, v, step_count, start_epoch, best)
     if config.checkpoint_path:  # the file a checkpoint is written through: an unwritable path fails early too
+        if os.path.isdir(config.checkpoint_path):
+            raise IsADirectoryError(f"checkpoint path {config.checkpoint_path} is a directory")
         tmp = temp_path(config.checkpoint_path)
         tmp.touch()
         tmp.unlink()

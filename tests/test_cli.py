@@ -620,6 +620,48 @@ class TestBadInput:
         assert line.startswith("data error: ") and f"{checkpoint}.tmp" in line
         assert not (tmp_path / "log.csv").exists()
 
+    def test_a_directory_checkpoint_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(training, "forward_batch", no_forward)
+        _, config_path = workspace
+        checkpoint = tmp_path / "dirck"
+        checkpoint.mkdir()
+        assert main(_train(config_path, tmp_path, f"out.checkpoint={checkpoint}")) == 3
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"data error: checkpoint path {checkpoint} is a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dirck"]
+        assert not any(checkpoint.iterdir())
+
+    @pytest.mark.parametrize(
+        "first, second, data_name, settings, named",
+        [
+            ("data.path", "out.log", "data.csv", ["out.log={dir}/../{name}/data.csv"], "{dir}/../{name}/data.csv"),
+            ("data.path", "out.checkpoint", "data.csv", ["out.checkpoint={dir}/data.csv"], "{dir}/data.csv"),
+            ("out.log", "out.checkpoint", "data.csv", ["out.log={dir}/run", "out.checkpoint={dir}/run"], "{dir}/run"),
+            ("data.path", "out.checkpoint's temporary file", "run.tmp", ["out.checkpoint={dir}/run"], "{dir}/run.tmp"),
+        ],
+    )
+    def test_outputs_that_name_the_data_or_each_other_are_refused(
+        self, first, second, data_name, settings, named, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(training, "forward_batch", no_forward)
+        root, config_path = workspace
+        data = tmp_path / data_name
+        data.write_bytes((root / "series.csv").read_bytes())
+        before = data.read_bytes()
+        settings = [f"data.path={data}"] + [item.format(dir=tmp_path, name=tmp_path.name) for item in settings]
+        assert main(_train(config_path, tmp_path, *settings)) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        named = named.format(dir=tmp_path, name=tmp_path.name)
+        assert line == f"configuration error: {first} and {second} name the same file {named}"
+        assert data.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [data_name]
+
     def test_a_writable_checkpoint_path_is_left_without_a_temporary_file(self, workspace, tmp_path, monkeypatch):
         def stop(*args, **kwargs):
             raise KeyboardInterrupt
@@ -788,8 +830,11 @@ class TestResolve:
         assert forecast(lettered, "--variate", "-1") == forecast(lettered, "--variate", "c")
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
 def _readme() -> str:
-    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return (_ROOT / "README.md").read_text(encoding="utf-8")
 
 
 class TestReadme:
@@ -809,6 +854,12 @@ class TestReadme:
         for key, default, _ in rows:
             parse, expected = cli.CONFIG_KEYS[key]
             assert (None if default == "*(required)*" else parse(default)) == expected, key
+
+    def test_the_library_table_lists_every_module(self):
+        table = _readme().split("| module | contents |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        listed = [line.split("|")[1].strip().strip("`") for line in table.splitlines()]
+        modules = [f"elastst.{p.stem}" for p in (_ROOT / "src" / "elastst").glob("*.py") if p.stem != "__init__"]
+        assert sorted(listed) == sorted(modules)
 
 
 _THREAD_PROBE = """
@@ -852,6 +903,26 @@ class TestModuleEntryPoint:
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.startswith("usage: elastst ") and "train.t_max" in result.stdout
+
+
+_IMPORT_PROBE = """
+import json, sys
+import elastst
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("elastst"))
+unbound = [m for m in loaded if m.startswith("elastst.") and getattr(elastst, m.split(".")[1]) is not sys.modules[m]]
+print(json.dumps([loaded, unbound]))
+"""
+
+
+def test_a_fresh_import_loads_numpy_and_the_engine_modules():
+    """What the benchmark's ``setup_s`` times: ``import elastst`` loads numpy
+    and the engine, not ``cli`` or ``gradcheck``, each as ``elastst.<module>``."""
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")), capture_output=True, text=True, timeout=120, check=True,
+    )
+    engine = ["backbone", "data_io", "errors", "evaluation", "model", "numerics", "patching", "training", "trope"]
+    assert json.loads(result.stdout) == [["elastst", *(f"elastst.{m}" for m in engine), "numpy"], []]
 
 
 class TestThreadPin:
